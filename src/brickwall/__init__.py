@@ -10,8 +10,8 @@ counts, and Monte-Carlo statistics of V_max(p).
 from .builtins import BUILTIN_SOURCES, builtin, builtin_names
 from .generate import (Brick, LetterGrid, OverlapError, Pattern,
                        check_no_overlap, format_pattern, generate_pattern,
-                       iterate, iterate_block, parse_pattern, ptm_oracle,
-                       render_grid, substitute_once)
+                       iterate, iterate_block, overlap_certificate,
+                       parse_pattern, ptm_oracle, render_grid, substitute_once)
 from .joints import (Joint, JointReport, Prop2Verdict, check_prop2,
                      crossing_options, empirical_frequencies, has_crossing,
                      prop2_bound, report_with_crossings, v_max_at,
@@ -39,8 +39,9 @@ __all__ = [
     "count_realizations", "crossing_options", "derive_seed",
     "empirical_frequencies", "format_pattern", "generate_pattern",
     "has_crossing", "iterate", "iterate_block", "matrix", "matrix_power",
-    "parse_pattern", "parse_rule", "pf_eigenvalue", "prop2_bound",
-    "ptm_oracle", "render_grid", "report_with_crossings", "sample_vmax",
+    "overlap_certificate", "parse_pattern", "parse_rule", "pf_eigenvalue",
+    "prop2_bound", "ptm_oracle", "render_grid", "report_with_crossings",
+    "sample_vmax",
     "serialize_rule", "substitute_once", "to_svg", "v_max_at",
     "validate_rule", "vertical_joints",
 ]

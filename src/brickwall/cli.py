@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -19,8 +20,8 @@ from .generate import format_pattern, generate_pattern
 from .joints import check_prop2, report_with_crossings, vertical_joints
 from .rules import (RuleError, RuleSyntaxError, RuleValidationError,
                     parse_rule, validate_rule)
-from .spectral import brick_frequencies, count_bricks, count_realizations, matrix, \
-    pf_eigenvalue
+from .spectral import brick_frequencies, count_bricks, matrix, pf_eigenvalue, \
+    realization_factors
 from .stats import sample_vmax
 from .svg import to_svg
 
@@ -130,11 +131,18 @@ def cmd_validate(args) -> int:
         print(f"error: {e}")
         return 1
     diagnostics = validate_rule(rule)
+    certificate = None
+    if not diagnostics and rule.engine == "geometric":
+        certificate = rule.overlap_certificate
+        if certificate.verdict == "overlap":
+            diagnostics = [certificate.message]
     for d in diagnostics:
         print(d)
     if diagnostics:
         return 1
     print(f"ok: rule '{rule.name}' ({rule.engine}, {len(rule.types)} types)")
+    if certificate is not None and certificate.verdict == "undecided":
+        print(f"note: {certificate.message}")
     return 0
 
 
@@ -152,14 +160,23 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
+def _exact_str(factors) -> str:
+    """prod(p ** e) in decimal, or as 'p^e * ...' when the decimal has more
+    digits than the interpreter's int-to-str limit allows."""
+    try:
+        return str(math.prod(p ** e for p, e in factors.items()))
+    except ValueError:
+        return " * ".join(f"{p}^{e}" for p, e in sorted(factors.items()))
+
+
 def cmd_count(args) -> int:
     rule = _load_rule(args.rule)
     _check_seed(rule, args.seed_brick)
     bricks = count_bricks(rule, args.seed_brick, args.n)
-    realizations = count_realizations(rule, args.seed_brick, args.n)
+    realizations = _exact_str(realization_factors(rule, args.seed_brick, args.n))
     if args.json:
         print(json.dumps({"bricks": str(bricks),
-                          "realizations": str(realizations)}, indent=2))
+                          "realizations": realizations}, indent=2))
     else:
         print(f"bricks: {bricks}")
         print(f"realizations: {realizations}")

@@ -16,8 +16,10 @@ from typing import Iterable, List, Optional, Tuple
 
 from .rng import SplitMix64
 from .rules import RuleError, SubstitutionRule
+from .spectral import max_bricks
 
 MAX_DEPTH = 12  # default allocation guard; override per call if you mean it
+MAX_BRICKS = 2 ** 21  # most bricks one wall may hold, checked before building
 
 
 class OverlapError(RuleError):
@@ -92,6 +94,91 @@ def check_no_overlap(bricks: Iterable[Brick]) -> None:
         active.insert(i, (y0, y1))
 
 
+@dataclass(frozen=True)
+class OverlapCertificate:
+    """Whether any wall iterate builds from any seed can contain an overlap.
+
+    verdict is "certified" (never), "overlap" or "undecided".  For
+    "overlap", message names the two types and their offset, and level is
+    the first depth at which a wall (that of seed_type) overlaps; for a
+    random rule, with some choice of options."""
+
+    verdict: str
+    message: str
+    seed_type: Optional[str] = None
+    level: Optional[int] = None
+
+
+def overlap_certificate(rule: SubstitutionRule) -> OverlapCertificate:
+    """Decide once per rule whether its walls can overlap.
+
+    Works on pairs (t1, t2, dx, dy): two bricks whose anchors differ by
+    (dx, dy).  A pair in a level-(m+1) wall is two siblings or two children
+    of a pair in the level-m wall, so the sibling pairs closed under one
+    substitution step, over every option pair, hold every pair any wall can
+    contain.  On an axis with expansion lam >= 2, placement offsets spread
+    over D and largest brick size S, a pair farther apart than
+    K = max(S, ceil(D / (lam - 1))) cannot overlap and its children lie
+    farther apart still, so closing the finite window |d| <= K decides the
+    rule (legal-patch atlas: Baake & Grimm, Aperiodic Order vol. 1, ch. 5-6;
+    Frank, Expo. Math. 2008).  A unit expansion leaves the rule undecided.
+    """
+    _require_geometric(rule)
+    for axis, lam in (("lambda1", rule.lambda1), ("lambda2", rule.lambda2)):
+        if lam == 1:
+            return OverlapCertificate(
+                "undecided", f"overlap undecided: {axis} = 1, so every level"
+                             " of a wall is swept for overlaps")
+    sizes = {t.id: (t.width, t.height) for t in rule.types}
+    placements = [pl for opts in rule.images.values() for opt in opts
+                  for pl in opt.placements]
+
+    def window(lam, offsets, size):
+        spread = max(offsets, default=0) - min(offsets, default=0)
+        return max(size, -(-spread // (lam - 1)))
+
+    kx = window(rule.lambda1, [pl.dx for pl in placements],
+                max(w for w, _ in sizes.values()))
+    ky = window(rule.lambda2, [pl.dy for pl in placements],
+                max(h for _, h in sizes.values()))
+    seeds = {}  # pair -> seed type of the wall it was first found in
+    frontier = []
+
+    def add(pair, seed):
+        if abs(pair[2]) <= kx and abs(pair[3]) <= ky and pair not in seeds:
+            seeds[pair] = seed
+            frontier.append(pair)
+
+    for t in rule.types:
+        for opt in rule.images[t.id]:
+            for i, a in enumerate(opt.placements):
+                for j, b in enumerate(opt.placements):
+                    if i != j:
+                        add((a.type_id, b.type_id, b.dx - a.dx, b.dy - a.dy), t.id)
+    level = 1
+    while frontier:
+        for t1, t2, dx, dy in frontier:
+            (w1, h1), (w2, h2) = sizes[t1], sizes[t2]
+            if -w2 < dx < w1 and -h2 < dy < h1:
+                seed = seeds[t1, t2, dx, dy]
+                return OverlapCertificate(
+                    "overlap", f"overlap: {t1} and {t2} at offset ({dx}, {dy})"
+                               f" in a level-{level} wall of seed {seed}",
+                    seed, level)
+        parents, frontier = frontier, []
+        for t1, t2, dx, dy in parents:
+            seed = seeds[t1, t2, dx, dy]
+            ax, ay = rule.lambda1 * dx, rule.lambda2 * dy
+            for o1 in rule.images[t1]:
+                for o2 in rule.images[t2]:
+                    for p in o1.placements:
+                        for q in o2.placements:
+                            add((p.type_id, q.type_id, ax + q.dx - p.dx,
+                                 ay + q.dy - p.dy), seed)
+        level += 1
+    return OverlapCertificate("certified", "no wall of any seed overlaps")
+
+
 def _choose_option(options, rng):
     if len(options) == 1:
         return options[0]
@@ -115,7 +202,6 @@ def _substitute_bricks(rule: SubstitutionRule, bricks, rng) -> Tuple[Brick, ...]
             w, h = sizes[pl.type_id]
             out.append(Brick(pl.type_id, ax + pl.dx, ay + pl.dy, w, h))
     out.sort(key=_ORDER)
-    check_no_overlap(out)
     return tuple(out)
 
 
@@ -123,6 +209,14 @@ def _require_geometric(rule):
     if rule.engine != "geometric":
         raise RuleError(f"rule '{rule.name}' is a block rule;"
                         " use iterate_block + render_grid")
+
+
+def _check_budget(rule, seed_type, n):
+    bound = max_bricks(rule, seed_type, n)
+    if bound > MAX_BRICKS:
+        raise RuleError(f"rule '{rule.name}' from seed '{seed_type}' at n={n}"
+                        f" can build {bound} bricks, over the budget of"
+                        f" {MAX_BRICKS}")
 
 
 def _check_brick_types(rule, bricks):
@@ -135,7 +229,10 @@ def _check_brick_types(rule, bricks):
 
 def iterate(rule: SubstitutionRule, seed_type: str, n: int,
             rng_seed: Optional[int] = None, max_depth: int = MAX_DEPTH) -> Pattern:
-    """Apply the rule n times to a single seed brick at the origin."""
+    """Apply the rule n times to a single seed brick at the origin.
+
+    Levels are swept for overlaps only when the rule's overlap certificate
+    is not "certified"."""
     _require_geometric(rule)
     seed = rule.get_type(seed_type)
     if n < 0:
@@ -149,9 +246,13 @@ def iterate(rule: SubstitutionRule, seed_type: str, n: int,
         if rng_seed is None:
             raise RuleError(f"rule '{rule.name}' is random; rng_seed is required")
         rng = SplitMix64(rng_seed)
+    _check_budget(rule, seed_type, n)
+    sweep = n > 0 and rule.overlap_certificate.verdict != "certified"
     bricks = (Brick(seed.id, 0, 0, seed.width, seed.height),)
     for _ in range(n):
         bricks = _substitute_bricks(rule, bricks, rng)
+        if sweep:
+            check_no_overlap(bricks)
     return Pattern(rule.name, n, seed_type,
                    rng_seed if rule.is_random else None, bricks)
 
@@ -167,6 +268,7 @@ def substitute_once(rule: SubstitutionRule, pattern: Pattern,
     if rule.is_random and rng is None:
         raise RuleError(f"rule '{rule.name}' is random; an rng is required")
     bricks = _substitute_bricks(rule, pattern.bricks, rng)
+    check_no_overlap(bricks)  # the input pattern may come from anywhere
     return Pattern(rule.name, pattern.level + 1, pattern.seed_type,
                    pattern.rng_seed, bricks)
 
@@ -181,6 +283,7 @@ def iterate_block(rule: SubstitutionRule, seed_letter: str, n: int,
         raise ValueError(f"depth must be >= 0, got {n}")
     if n > max_depth:
         raise ValueError(f"depth {n} exceeds max_depth={max_depth}")
+    _check_budget(rule, seed_letter, n)
     rows: List[List[str]] = [[seed_letter]]
     for _ in range(n):
         new_rows: List[List[str]] = []

@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Tuple
 
 # fallback fill colors (warm masonry tones), cycled in type order
@@ -117,6 +118,9 @@ class SubstitutionRule:
     types: Tuple[BrickType, ...]
     images: Mapping[str, Tuple[ImageOption, ...]] = field(default_factory=dict)
     blocks: Mapping[str, BlockImage] = field(default_factory=dict)
+    # the rule bind() made this one from; it shares the overlap certificate
+    unbound: Optional["SubstitutionRule"] = field(default=None, repr=False,
+                                                  compare=False)
 
     @property
     def type_ids(self) -> Tuple[str, ...]:
@@ -135,6 +139,15 @@ class SubstitutionRule:
         return any(opt.probability.is_parametric
                    for opts in self.images.values() for opt in opts)
 
+    @cached_property
+    def overlap_certificate(self):
+        """generate.overlap_certificate of this rule, computed on first use
+        and shared with the rule it was bound from: it ignores probabilities."""
+        if self.unbound is not None:
+            return self.unbound.overlap_certificate
+        from .generate import overlap_certificate  # generate imports rules
+        return overlap_certificate(self)
+
     def get_type(self, type_id: str) -> BrickType:
         for t in self.types:
             if t.id == type_id:
@@ -151,8 +164,9 @@ class SubstitutionRule:
         images = {tid: tuple(ImageOption(opt.probability.bind(p), opt.placements)
                              for opt in opts)
                   for tid, opts in self.images.items()}
-        return SubstitutionRule(self.name, self.engine, self.lambda1, self.lambda2,
-                                self.skew, self.types, images, self.blocks)
+        return SubstitutionRule(self.name, self.engine, self.lambda1,
+                                self.lambda2, self.skew, self.types, images,
+                                self.blocks, unbound=self)
 
 
 def _rects_overlap(x1, y1, w1, h1, x2, y2, w2, h2) -> bool:

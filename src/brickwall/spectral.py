@@ -10,9 +10,10 @@ integers throughout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -196,17 +197,60 @@ def count_bricks(rule: SubstitutionRule, seed_type: str, n: int) -> int:
     return sum(v)
 
 
+def max_bricks(rule: SubstitutionRule, seed_type: str, n: int) -> int:
+    """Most bricks the n-th image of the seed can hold.  The lesser of two
+    bounds: every brick places, of each type, the most any of its options
+    places; and the wall's area, which grows by at most the largest option
+    area / type area per step (lambda1*lambda2 under the area identity),
+    over the smallest brick area.  Equals count_bricks wherever that is
+    defined; a block rule has lambda1*lambda2 letters per letter."""
+    seed = rule.get_type(seed_type)
+    if rule.engine == "block":
+        return rule.expansion ** n
+    order = rule.type_ids
+    rows = [[max(sum(pl.type_id == u for pl in opt.placements)
+                 for opt in rule.images[t]) for u in order] for t in order]
+    v = _seed_vector(rule, seed_type)
+    for _ in range(n):
+        v = _vec_mat(v, rows)
+    area = {t.id: t.area for t in rule.types}
+    growth = max(Fraction(sum(area[pl.type_id] for pl in opt.placements),
+                          area[t]) for t in order for opt in rule.images[t])
+    return min(sum(v), math.floor(seed.area * growth ** n / min(area.values())))
+
+
+def _prime_factors(k: int) -> Dict[int, int]:
+    factors: Dict[int, int] = {}
+    p = 2
+    while k > 1:
+        while k % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            k //= p
+        p += 1
+    return factors
+
+
+def realization_factors(rule: SubstitutionRule, seed_type: str,
+                        n: int) -> Dict[int, int]:
+    """count_realizations as {prime: exponent}, which stays small when the
+    count itself has more digits than Python will print."""
+    if n < 0:
+        raise ValueError("count_realizations needs n >= 0")
+    rows, ks = _count_vectors(rule)
+    per_type = [_prime_factors(k) for k in ks]
+    v = _seed_vector(rule, seed_type)
+    exponents: Dict[int, int] = {}
+    for _ in range(n):
+        for factors, count in zip(per_type, v):
+            for p, e in factors.items():
+                exponents[p] = exponents.get(p, 0) + e * count
+        v = _vec_mat(v, rows)
+    return exponents
+
+
 def count_realizations(rule: SubstitutionRule, seed_type: str, n: int) -> int:
     """Exact number of distinct outcome sequences when generating the n-th
     image: every brick at every level picks one of its k options, so the
     count is the product over levels m < n of prod_t k_t ** N_m(t)."""
-    if n < 0:
-        raise ValueError("count_realizations needs n >= 0")
-    rows, ks = _count_vectors(rule)
-    v = _seed_vector(rule, seed_type)
-    total = 1
-    for _ in range(n):
-        for k, count in zip(ks, v):
-            total *= k ** count
-        v = _vec_mat(v, rows)
-    return total
+    return math.prod(p ** e for p, e in
+                     realization_factors(rule, seed_type, n).items())

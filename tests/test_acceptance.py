@@ -165,7 +165,8 @@ def test_c10_structural_invariants():
                     else:
                         assert len(a.bricks) == rule.expansion ** n
                     checked += 1
-    # overlap is rechecked during generation; a second explicit pass here
+    # iterate sweeps only rules its overlap certificate cannot clear, so
+    # check every wall explicitly here
     for name in ALL_BUILTINS:
         rule = _bound(name, Fraction(1, 2))
         s = 3 if rule.is_random else None

@@ -1,19 +1,28 @@
 """Generation engine: iterate, substitute_once, block grids, pattern text."""
 
 import hashlib
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from brickwall import (Brick, OverlapError, Pattern, RuleError, SplitMix64,
-                       builtin, check_no_overlap, format_pattern,
-                       generate_pattern, iterate, iterate_block, parse_pattern,
+import brickwall.generate
+from brickwall import (Brick, OverlapError, Pattern, RuleError,
+                       SplitMix64, builtin, check_no_overlap, count_bricks,
+                       format_pattern, generate_pattern, iterate,
+                       iterate_block, overlap_certificate, parse_pattern,
                        parse_rule, ptm_oracle, render_grid, substitute_once)
+from brickwall.generate import MAX_BRICKS
 
 SIGMA3_B22_IMAGE = {
     ("B21", -1, 0), ("B22", 1, 0), ("B11", 0, 1), ("B11", 3, 1),
     ("B21", -1, 2), ("B11", 1, 2), ("B11", 2, 2), ("B21", 0, 3), ("B21", 2, 3),
 }
+
+# valid per image (area 4, no internal overlap), but neighboring bricks
+# collide from depth 2 on
+CLASH_RULE = ("rule clash\nengine geometric\nexpansion 2 2\nbrick A 1 1\n"
+              "image A { A @ 0 0 ; A @ 1 0 ; A @ 2 0 ; A @ 3 0 }\nend\n")
 
 # frozen digest of iterate(random_self_similar, B22, 2, rng_seed=1)
 GOLDEN_RSS_SHA = "d1451eb391053a02cd61740d5b3b3f5731b65ad94bdadd4a0ba8bc8ff0fd17fb"
@@ -128,6 +137,123 @@ def test_generation_overlap_detected():
                   (Brick("A", 0, 0, 1, 1), Brick("A", 1, 0, 1, 1)))
     with pytest.raises(OverlapError):
         substitute_once(rule, pat)
+
+
+@pytest.mark.parametrize("name", ["sigma3", "rows23", "random_self_similar",
+                                  "random_pp"])
+def test_geometric_builtins_are_certified(name):
+    assert overlap_certificate(builtin(name)).verdict == "certified"
+
+
+def test_certified_rule_skips_the_sweep(monkeypatch):
+    def refuse(bricks):
+        raise AssertionError("a certified rule was swept")
+
+    rule = builtin("sigma3")
+    monkeypatch.setattr(brickwall.generate, "check_no_overlap", refuse)
+    assert len(iterate(rule, "B22", 3)) == count_bricks(rule, "B22", 3)
+    with pytest.raises(AssertionError):
+        substitute_once(rule, iterate(rule, "B22", 1))  # input from outside
+
+
+def test_certificate_is_cached_and_survives_bind():
+    rule = builtin("random_pp")
+    cert = rule.overlap_certificate
+    assert rule.overlap_certificate is cert
+    assert rule.bind(Fraction(1, 3)).overlap_certificate is cert
+    fresh = builtin("random_pp")
+    a, b = fresh.bind(Fraction(1, 3)), fresh.bind(Fraction(1, 2))
+    # parse and bind pay nothing; bound copies share one computation
+    assert "overlap_certificate" not in vars(fresh) | vars(a) | vars(b)
+    assert a.overlap_certificate is b.overlap_certificate
+    assert fresh.overlap_certificate is a.overlap_certificate
+    assert a.overlap_certificate == cert
+
+
+def test_clash_certificate_and_sweep():
+    rule = parse_rule(CLASH_RULE)
+    cert = overlap_certificate(rule)
+    assert (cert.verdict, cert.seed_type, cert.level) == ("overlap", "A", 2)
+    assert cert.message == \
+        "overlap: A and A at offset (0, 0) in a level-2 wall of seed A"
+    assert len(iterate(rule, "A", 1)) == 4
+    with pytest.raises(OverlapError, match="near x=2, y=0"):
+        iterate(rule, "A", 2)
+
+
+def test_unit_expansion_is_undecided_and_still_swept():
+    # lambda2 = 1: at depth 2 the upper child of the brick at (0, 0) and
+    # the lower child of the brick at (0, 1) both land on (0, 1)
+    rule = parse_rule("rule tower\nengine geometric\nexpansion 2 1\n"
+                      "brick A 1 1\nimage A { A @ 0 0 ; A @ 0 1 }\nend\n")
+    assert overlap_certificate(rule).verdict == "undecided"
+    iterate(rule, "A", 1)
+    with pytest.raises(OverlapError):
+        iterate(rule, "A", 2)
+
+
+_SIZES = {"A": (1, 1), "B": (2, 1)}
+_BOX = [(x, y) for y in range(-1, 3) for x in range(-2, 5)]
+
+
+@st.composite
+def small_rules(draw):
+    """Deterministic 2x2 rules over a 1x1 brick A and a 2x1 brick B that
+    pass validate_rule: each image keeps the drawn placements that fit,
+    then fills its area with A bricks, either over the inflated outline of
+    its brick first or in a drawn order of cells."""
+    lines = ["rule fuzz", "engine geometric", "expansion 2 2",
+             "brick A 1 1", "brick B 2 1"]
+    for tid, (w, h) in _SIZES.items():
+        outline = [(x, y) for y in range(2 * h) for x in range(2 * w)]
+        wanted = draw(st.lists(st.tuples(st.sampled_from("AB"),
+                                         st.integers(-2, 4),
+                                         st.integers(-1, 2)), max_size=3))
+        fill = draw(st.one_of(st.just(outline + _BOX), st.permutations(_BOX)))
+        taken, body, area = set(), [], 0
+        for t, dx, dy in wanted + [("A", x, y) for x, y in fill]:
+            cw, ch = _SIZES[t]
+            cells = {(dx + i, dy + j) for i in range(cw) for j in range(ch)}
+            if area + cw * ch <= 4 * w * h and not cells & taken:
+                taken |= cells
+                body.append(f"{t} @ {dx} {dy}")
+                area += cw * ch
+        lines.append(f"image {tid} {{ {' ; '.join(body)} }}")
+    return parse_rule("\n".join(lines + ["end"]) + "\n")
+
+
+@given(small_rules())
+@example(builtin("sigma3"))
+@example(parse_rule(CLASH_RULE))
+@settings(max_examples=60, deadline=None)
+def test_overlap_certificate_agrees_with_the_sweep(rule):
+    cert = overlap_certificate(rule)
+    if cert.verdict == "certified":
+        for seed_type in rule.type_ids:
+            for n in range(5):
+                check_no_overlap(iterate(rule, seed_type, n).bricks)
+        return
+    # the certificate names the first depth at which any wall overlaps
+    assert cert.verdict == "overlap"
+    for seed_type in rule.type_ids:
+        iterate(rule, seed_type, cert.level - 1)
+    with pytest.raises(OverlapError):
+        iterate(rule, cert.seed_type, cert.level)
+
+
+def test_brick_budget_fails_before_building():
+    sigma3 = builtin("sigma3")
+    assert count_bricks(sigma3, "B22", 10) > MAX_BRICKS
+    with pytest.raises(RuleError, match=r"'sigma3' from seed 'B22' at n=12"
+                                        r" can build 34896613 bricks"):
+        iterate(sigma3, "B22", 12)
+    pp = builtin("random_pp", p=Fraction(1, 2))
+    with pytest.raises(RuleError, match="budget"):
+        iterate(pp, "B22", 11, rng_seed=0)
+    # a random rule's bound is capped by area: 4 * 4**7 / 2 bricks at most
+    assert len(iterate(pp, "B22", 7, rng_seed=0)) <= 32768
+    with pytest.raises(RuleError, match="4194304 bricks"):
+        iterate_block(builtin("ptm"), "0", 11)
 
 
 def test_check_no_overlap():

@@ -187,6 +187,42 @@ def test_cli_count():
         "realizations": "170141183460469231731687303715884105728"}
 
 
+def test_cli_count_beyond_the_digit_limit():
+    code, stdout, _ = run("count", "--rule", "random_self_similar",
+                          "--seed-brick", "B22", "-n", "8")
+    assert code == 0
+    assert stdout == "bricks: 98304\nrealizations: 2^32767\n"
+    code, stdout, _ = run("count", "--rule", "random_self_similar",
+                          "--seed-brick", "B22", "-n", "8", "--json")
+    assert code == 0
+    assert json.loads(stdout) == {"bricks": "98304",
+                                  "realizations": "2^32767"}
+
+
+def test_cli_brick_budget_exits_1(tmp_path):
+    out = tmp_path / "huge.svg"
+    code, stdout, stderr = run("generate", "--rule", "sigma3", "--seed-brick",
+                               "B22", "-n", "12", "--out", str(out))
+    assert code == 1 and stdout == ""
+    assert "'sigma3' from seed 'B22' at n=12 can build 34896613 bricks" in stderr
+    assert not out.exists()
+
+
+def test_cli_validate_reports_overlap(tmp_path):
+    clash = tmp_path / "clash.txt"
+    clash.write_text("rule clash\nengine geometric\nexpansion 2 2\n"
+                     "brick A 1 1\n"
+                     "image A { A @ 0 0 ; A @ 1 0 ; A @ 2 0 ; A @ 3 0 }\nend\n")
+    assert run("validate", "--rule", str(clash)) == (
+        1, "overlap: A and A at offset (0, 0) in a level-2 wall of seed A\n", "")
+    tower = tmp_path / "tower.txt"
+    tower.write_text("rule tower\nengine geometric\nexpansion 2 1\n"
+                     "brick A 1 1\nimage A { A @ 0 0 ; A @ 0 1 }\nend\n")
+    code, stdout, _ = run("validate", "--rule", str(tower))
+    assert code == 0
+    assert stdout.splitlines()[1].startswith("note: overlap undecided")
+
+
 def test_cli_sample_reproducible():
     args = ("sample", "--rule", "random_pp", "--seed-brick", "B22",
             "-p", "1/2", "--trials", "5")
@@ -202,6 +238,17 @@ def test_cli_sample_reproducible():
 def test_cli_validate_builtin():
     assert run("validate", "--rule", "sigma3") == \
         (0, "ok: rule 'sigma3' (geometric, 3 types)\n", "")
+
+
+def test_cli_validate_swap_rule(tmp_path):
+    swap = tmp_path / "swap.rule"
+    swap.write_text("rule swap\nengine geometric\nexpansion 2 2\n"
+                    "brick A 1 1\nbrick B 2 1\n"
+                    "image A { B @ 0 0 ; B @ 0 1 }\n"
+                    "image B { A @ 0 0 ; A @ 1 0 ; A @ 2 0 ; A @ 3 0 ;"
+                    " A @ 0 1 ; A @ 1 1 ; A @ 2 1 ; A @ 3 1 }\nend\n")
+    assert run("validate", "--rule", str(swap)) == \
+        (0, "ok: rule 'swap' (geometric, 2 types)\n", "")
 
 
 def test_cli_validate_diagnostics(tmp_path):

@@ -9,6 +9,7 @@ from brickwall import (RuleError, SubstitutionMatrix, assert_area_eigenvector,
                        brick_frequencies, builtin, count_bricks,
                        count_realizations, iterate, matrix, matrix_power,
                        parse_rule, pf_eigenvalue)
+from brickwall.spectral import max_bricks, realization_factors
 from oracles import exact_left_eigenvector
 
 ALL_BUILTINS = ("ptm", "ptm_skewed", "sigma3", "rows23",
@@ -189,6 +190,38 @@ def test_count_realizations_values():
             2 ** (2 * 4 ** (n - 1) - 1)
     assert count_realizations(builtin("sigma3"), "B22", 5) == 1
     assert count_realizations(builtin("rows23"), "B21", 4) == 1
+
+
+def test_realization_factors():
+    rss = builtin("random_self_similar")
+    assert realization_factors(rss, "B22", 4) == {2: 127}
+    assert realization_factors(rss, "B22", 8) == {2: 32767}
+    assert realization_factors(builtin("sigma3"), "B22", 5) == {}
+    three = parse_rule("rule three\nengine geometric\nexpansion 2 2\n"
+                       "brick A 1 1\n" + "".join(
+                           f"image A prob 1/6 {{ A @ {x} 0 ; A @ {x + 1} 0 ;"
+                           f" A @ {x} 1 ; A @ {x + 1} 1 }}\n"
+                           for x in range(6)) + "end\n")
+    assert realization_factors(three, "A", 2) == {2: 5, 3: 5}
+    assert count_realizations(three, "A", 2) == 6 ** 5
+
+
+def test_max_bricks():
+    for name, seed in (("sigma3", "B22"), ("rows23", "B11"),
+                       ("random_self_similar", "B12"), ("ptm", "1")):
+        for n in range(6):
+            assert max_bricks(builtin(name), seed, n) == \
+                count_bricks(builtin(name), seed, n)
+    pp = builtin("random_pp", p=Fraction(1, 2))
+    # B22's options place 8 B12 or 4 B22; B12's place 4 B12 or 2 B22.  The
+    # largest option per type would give 12 and 96; the area (4 * 4**n) over
+    # the smallest brick area (2) is the tighter bound.
+    assert max_bricks(pp, "B22", 1) == 8
+    assert max_bricks(pp, "B22", 2) == 32
+    assert max_bricks(pp, "B12", 3) == 64
+    for seed in range(20):
+        assert len(iterate(pp, "B22", 3, rng_seed=seed)) <= \
+            max_bricks(pp, "B22", 3)
 
 
 def test_counting_refuses_count_variant_rules():
