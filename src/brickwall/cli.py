@@ -15,11 +15,10 @@ import os
 import sys
 from fractions import Fraction
 
-from .builtins import BUILTIN_SOURCES, builtin
+from .builtins import BUILTIN_SOURCES
 from .generate import format_pattern, generate_pattern
-from .joints import check_prop2, report_with_crossings, vertical_joints
-from .rules import (RuleError, RuleSyntaxError, RuleValidationError,
-                    parse_rule, validate_rule)
+from .joints import analyze
+from .rules import RuleError, RuleSyntaxError, parse_rule, validate_rule
 from .spectral import brick_frequencies, count_bricks, matrix, pf_eigenvalue, \
     realization_factors
 from .stats import sample_vmax
@@ -32,27 +31,36 @@ class CliError(Exception):
         super().__init__(message)
 
 
-def _load_rule(ref: str):
-    """Rule by builtin name or DSL file path."""
+def _load_rule(ref: str, validate: bool = True):
+    """Rule by builtin name or DSL file path; validate as in parse_rule."""
     if ref in BUILTIN_SOURCES:
-        return builtin(ref)
-    if os.path.exists(ref):
-        with open(ref, encoding="utf-8") as fh:
-            return parse_rule(fh.read())
-    raise CliError(2, f"unknown rule '{ref}' (not a builtin, not a file)")
+        source = BUILTIN_SOURCES[ref]
+    elif not os.path.exists(ref):
+        raise CliError(2, f"unknown rule '{ref}' (not a builtin, not a file)")
+    else:
+        try:
+            with open(ref, encoding="utf-8") as fh:
+                source = fh.read()
+        except OSError as e:
+            raise CliError(2, f"cannot read rule file '{ref}': {e.strerror}") from None
+    return parse_rule(source, validate=validate)
+
+
+def _parse_p(p_arg: str) -> Fraction:
+    try:
+        p = Fraction(p_arg)
+    except (ValueError, ZeroDivisionError):
+        raise CliError(2, f"bad -p value '{p_arg}' (want num/den)") from None
+    if not 0 <= p <= 1:
+        raise CliError(2, f"-p {p} outside [0, 1]")
+    return p
 
 
 def _bind_p(rule, p_arg):
     if rule.is_parametric:
         if p_arg is None:
             raise CliError(2, f"rule '{rule.name}' is parametric; -p is required")
-        try:
-            p = Fraction(p_arg)
-        except (ValueError, ZeroDivisionError):
-            raise CliError(2, f"bad -p value '{p_arg}' (want num/den)") from None
-        if not 0 <= p <= 1:
-            raise CliError(2, f"-p {p} outside [0, 1]")
-        return rule.bind(p)
+        return rule.bind(_parse_p(p_arg))
     if p_arg is not None:
         raise CliError(2, f"rule '{rule.name}' has no parameter; drop -p")
     return rule
@@ -74,26 +82,23 @@ def _prepared(args):
 
 def cmd_generate(args) -> int:
     rule = _prepared(args)
-    pattern = generate_pattern(rule, args.seed_brick, args.n, args.rng_seed)
-    if args.out.endswith(".svg"):
-        content = to_svg(pattern, rule=rule)
-    elif args.out.endswith(".txt"):
-        content = format_pattern(pattern)
-    else:
+    if not args.out.endswith((".svg", ".txt")):
         raise CliError(2, f"--out must end in .svg or .txt, got '{args.out}'")
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(content)
+    pattern = generate_pattern(rule, args.seed_brick, args.n, args.rng_seed)
+    content = (to_svg(pattern, rule=rule) if args.out.endswith(".svg")
+               else format_pattern(pattern))
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(content)
+    except OSError as e:
+        raise CliError(2, f"cannot write '{args.out}': {e.strerror}") from None
     print(f"wrote {args.out} ({len(pattern.bricks)} bricks)")
     return 0
 
 
 def cmd_analyze(args) -> int:
     rule = _prepared(args)
-    pattern = generate_pattern(rule, args.seed_brick, args.n, args.rng_seed)
-    report = report_with_crossings(vertical_joints(pattern), rule)
-    verdict = None
-    if not rule.is_random:
-        verdict = check_prop2(rule, args.seed_brick, args.n)
+    report, verdict = analyze(rule, args.seed_brick, args.n, args.rng_seed)
     if args.json:
         doc = report.to_json()
         if verdict is not None:
@@ -101,10 +106,10 @@ def cmd_analyze(args) -> int:
         print(json.dumps(doc, indent=2))
         return 0
     print(f"rule {rule.name}, seed {args.seed_brick}, n={args.n}:"
-          f" {len(pattern.bricks)} bricks")
+          f" {len(report.pattern.bricks)} bricks")
     print(f"v_max: {report.v_max}")
     print(f"joints: {len(report.joints)}")
-    crossing = [tid for tid, c in (report.crossings or {}).items() if c]
+    crossing = [tid for tid, c in report.crossings.items() if c]
     print("crossings: " + (", ".join(crossing) if crossing else "none"))
     if verdict is not None and verdict.bound is not None:
         if verdict.hypothesis_holds:
@@ -118,15 +123,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    if args.rule in BUILTIN_SOURCES:
-        source = BUILTIN_SOURCES[args.rule]
-    elif os.path.exists(args.rule):
-        with open(args.rule, encoding="utf-8") as fh:
-            source = fh.read()
-    else:
-        raise CliError(2, f"unknown rule '{args.rule}' (not a builtin, not a file)")
     try:
-        rule = parse_rule(source, validate=False)
+        rule = _load_rule(args.rule, validate=False)
     except RuleSyntaxError as e:
         print(f"error: {e}")
         return 1
@@ -188,14 +186,7 @@ def cmd_sample(args) -> int:
     _check_seed(rule, args.seed_brick)
     if not rule.is_parametric:
         raise CliError(2, f"rule '{rule.name}' has no parameter p; sample needs one")
-    if args.p is None:
-        raise CliError(2, "sample requires -p")
-    try:
-        p = Fraction(args.p)
-    except (ValueError, ZeroDivisionError):
-        raise CliError(2, f"bad -p value '{args.p}' (want num/den)") from None
-    if not 0 <= p <= 1:
-        raise CliError(2, f"-p {p} outside [0, 1]")
+    p = _parse_p(args.p)
     if args.trials < 1:
         raise CliError(2, f"--trials must be >= 1, got {args.trials}")
     stats = sample_vmax(rule, args.seed_brick, args.n, p,
@@ -215,11 +206,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rule", required=True,
                        help="builtin rule name or path to a rule DSL file")
 
-    def add_common(p, with_seed=True):
+    def add_common(p):
         add_rule(p)
-        if with_seed:
-            p.add_argument("--seed-brick", required=True, help="seed brick type id")
-            p.add_argument("-n", type=int, required=True, help="iteration depth")
+        p.add_argument("--seed-brick", required=True, help="seed brick type id")
+        p.add_argument("-n", type=int, required=True, help="iteration depth")
         p.add_argument("--rng-seed", type=int, default=None,
                        help="64-bit seed for random rules")
         p.add_argument("-p", default=None, metavar="NUM/DEN",
@@ -276,9 +266,6 @@ def main(argv=None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
-    except (RuleSyntaxError, RuleValidationError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
     except RuleError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -12,7 +12,7 @@ import bisect
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from .rng import SplitMix64
 from .rules import RuleError, SubstitutionRule
@@ -227,13 +227,10 @@ def _check_brick_types(rule, bricks):
                             f" {b.width}x{b.height}, rule says {t.width}x{t.height}")
 
 
-def iterate(rule: SubstitutionRule, seed_type: str, n: int,
-            rng_seed: Optional[int] = None, max_depth: int = MAX_DEPTH) -> Pattern:
-    """Apply the rule n times to a single seed brick at the origin.
-
-    Levels are swept for overlaps only when the rule's overlap certificate
-    is not "certified"."""
-    _require_geometric(rule)
+def _walls(rule, seed_type, n, rng_seed, max_depth):
+    """Check the arguments, then yield the wall of one seed at levels 0..n,
+    each made from the one before by one substitution step: a Pattern for a
+    geometric rule, a LetterGrid for a block rule."""
     seed = rule.get_type(seed_type)
     if n < 0:
         raise ValueError(f"depth must be >= 0, got {n}")
@@ -247,14 +244,43 @@ def iterate(rule: SubstitutionRule, seed_type: str, n: int,
             raise RuleError(f"rule '{rule.name}' is random; rng_seed is required")
         rng = SplitMix64(rng_seed)
     _check_budget(rule, seed_type, n)
+    if rule.engine == "block":
+        rows = [[seed_type]]
+        for level in range(n + 1):
+            if level:  # row r of every letter's image, side by side
+                rows = [[c for letter in row for c in rule.blocks[letter].cells[r]]
+                        for row in rows for r in range(rule.lambda2)]
+            yield LetterGrid(tuple(map(tuple, rows)), level, seed_type)
+        return
     sweep = n > 0 and rule.overlap_certificate.verdict != "certified"
+    rng_seed = rng_seed if rule.is_random else None
     bricks = (Brick(seed.id, 0, 0, seed.width, seed.height),)
-    for _ in range(n):
-        bricks = _substitute_bricks(rule, bricks, rng)
-        if sweep:
-            check_no_overlap(bricks)
-    return Pattern(rule.name, n, seed_type,
-                   rng_seed if rule.is_random else None, bricks)
+    for level in range(n + 1):
+        if level:
+            bricks = _substitute_bricks(rule, bricks, rng)
+            if sweep:
+                check_no_overlap(bricks)
+        yield Pattern(rule.name, level, seed_type, rng_seed, bricks)
+
+
+def levels(rule: SubstitutionRule, seed_type: str, n: int,
+           rng_seed: Optional[int] = None) -> Iterator[Pattern]:
+    """The wall of one seed at levels 0..n, for either engine: n
+    substitution steps in all, each level made from the one before."""
+    for wall in _walls(rule, seed_type, n, rng_seed, MAX_DEPTH):
+        yield render_grid(rule, wall) if rule.engine == "block" else wall
+
+
+def iterate(rule: SubstitutionRule, seed_type: str, n: int,
+            rng_seed: Optional[int] = None, max_depth: int = MAX_DEPTH) -> Pattern:
+    """Apply the rule n times to a single seed brick at the origin.
+
+    Levels are swept for overlaps only when the rule's overlap certificate
+    is not "certified"."""
+    _require_geometric(rule)
+    for pattern in _walls(rule, seed_type, n, rng_seed, max_depth):
+        pass
+    return pattern
 
 
 def substitute_once(rule: SubstitutionRule, pattern: Pattern,
@@ -278,24 +304,9 @@ def iterate_block(rule: SubstitutionRule, seed_letter: str, n: int,
     """Grow a letter grid by block substitution, n levels from one letter."""
     if rule.engine != "block":
         raise RuleError(f"rule '{rule.name}' is not a block rule")
-    rule.get_type(seed_letter)
-    if n < 0:
-        raise ValueError(f"depth must be >= 0, got {n}")
-    if n > max_depth:
-        raise ValueError(f"depth {n} exceeds max_depth={max_depth}")
-    _check_budget(rule, seed_letter, n)
-    rows: List[List[str]] = [[seed_letter]]
-    for _ in range(n):
-        new_rows: List[List[str]] = []
-        for row in rows:
-            stack: List[List[str]] = [[] for _ in range(rule.lambda2)]
-            for letter in row:
-                img = rule.blocks[letter]
-                for r in range(rule.lambda2):
-                    stack[r].extend(img.cells[r])
-            new_rows.extend(stack)
-        rows = new_rows
-    return LetterGrid(tuple(tuple(r) for r in rows), n, seed_letter)
+    for grid in _walls(rule, seed_letter, n, None, max_depth):
+        pass
+    return grid
 
 
 def render_grid(rule: SubstitutionRule, grid: LetterGrid) -> Pattern:

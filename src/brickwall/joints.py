@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from .generate import Pattern, generate_pattern, iterate_block, render_grid
+from .generate import Brick, Pattern, generate_pattern, levels
 from .rules import RuleError, SubstitutionRule
 
 
@@ -86,10 +86,7 @@ def v_max_at(rule: SubstitutionRule, seed_type: str, n: int,
     return vertical_joints(generate_pattern(rule, seed_type, n, rng_seed)).v_max
 
 
-def _image_bricks(rule: SubstitutionRule, type_id: str, option_index: int):
-    from .generate import Brick
-
-    opt = rule.images[type_id][option_index]
+def _image_bricks(rule: SubstitutionRule, opt):
     bricks = []
     for pl in opt.placements:
         t = rule.get_type(pl.type_id)
@@ -112,11 +109,6 @@ def _segment_crosses(cells, x, y0, y1) -> bool:
     return True
 
 
-def _option_has_crossing(rule, type_id, option_index) -> bool:
-    bricks = _image_bricks(rule, type_id, option_index)
-    return _bricks_have_crossing(bricks)
-
-
 def _bricks_have_crossing(bricks) -> bool:
     cells = set()
     for b in bricks:
@@ -134,10 +126,9 @@ def crossing_options(rule: SubstitutionRule, type_id: str) -> Tuple[bool, ...]:
     """Crossing verdict per image option of one type."""
     rule.get_type(type_id)
     if rule.engine == "block":
-        image = render_grid(rule, iterate_block(rule, type_id, 1))
-        return (_bricks_have_crossing(image.bricks),)
-    return tuple(_option_has_crossing(rule, type_id, k)
-                 for k in range(len(rule.images[type_id])))
+        return (_bricks_have_crossing(generate_pattern(rule, type_id, 1).bricks),)
+    return tuple(_bricks_have_crossing(_image_bricks(rule, opt))
+                 for opt in rule.images[type_id])
 
 
 def has_crossing(rule: SubstitutionRule, type_id: str) -> bool:
@@ -183,15 +174,29 @@ def check_prop2(rule: SubstitutionRule, seed_type: str, n_max: int) -> Prop2Verd
     """
     if rule.is_random:
         raise RuleError("check_prop2 needs a deterministic rule")
-    measured = max((v_max_at(rule, seed_type, n) for n in range(1, n_max + 1)),
-                   default=0)
+    return analyze(rule, seed_type, n_max)[1]
+
+
+def analyze(rule: SubstitutionRule, seed_type: str, n: int,
+            rng_seed: Optional[int] = None
+            ) -> Tuple[JointReport, Optional[Prop2Verdict]]:
+    """The level-n joint report with crossings and, for a deterministic
+    rule, the check_prop2 verdict over levels 1..n, from one generation
+    pass of n steps."""
+    measured = 0  # level 0, a single brick, has no joints
+    for pattern in levels(rule, seed_type, n, rng_seed):
+        report = vertical_joints(pattern)
+        measured = max(measured, report.v_max)
+    report = report_with_crossings(report, rule)
+    if rule.is_random:
+        return report, None
     if rule.engine == "block":
-        return Prop2Verdict(rule.name, {}, None, None, measured, None)
-    crossings = {tid: has_crossing(rule, tid) for tid in rule.type_ids}
-    hypothesis = not any(crossings.values())
+        return report, Prop2Verdict(rule.name, {}, None, None, measured, None)
+    hypothesis = not any(report.crossings.values())
     bound = prop2_bound(rule)
     respected = (measured <= bound) if hypothesis else True  # vacuous otherwise
-    return Prop2Verdict(rule.name, crossings, hypothesis, bound, measured, respected)
+    return report, Prop2Verdict(rule.name, report.crossings, hypothesis, bound,
+                                measured, respected)
 
 
 def empirical_frequencies(pattern: Pattern,

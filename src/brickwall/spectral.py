@@ -42,30 +42,39 @@ class SubstitutionMatrix:
         return self.entries[i][j]
 
 
+def _placement_counts(rule: SubstitutionRule) -> List[List[List[int]]]:
+    """Per type, in type order: for each image option, how many bricks of
+    each type it places.  A block image is a single option."""
+    index = {tid: i for i, tid in enumerate(rule.type_ids)}
+
+    def counts(refs):
+        row = [0] * len(index)
+        for ref in refs:
+            row[index[ref]] += 1
+        return row
+
+    if rule.engine == "block":
+        return [[counts(ref for cells in rule.blocks[tid].cells for ref in cells)]
+                for tid in rule.type_ids]
+    return [[counts(pl.type_id for pl in opt.placements) for opt in rule.images[tid]]
+            for tid in rule.type_ids]
+
+
 def matrix(rule: SubstitutionRule) -> SubstitutionMatrix:
     """M for a rule; random rules get probability-weighted expected counts."""
     if rule.is_parametric:
         raise RuleError(f"rule '{rule.name}' has unbound parameter p; bind it first")
-    order = rule.type_ids
-    index = {tid: i for i, tid in enumerate(order)}
     rows = []
-    for tid in order:
-        row = [Fraction(0)] * len(order)
-        if rule.engine == "block":
-            for grid_row in rule.blocks[tid].cells:
-                for ref in grid_row:
-                    row[index[ref]] += 1
-        else:
-            for opt in rule.images[tid]:
-                pr = opt.probability.value
-                for pl in opt.placements:
-                    row[index[pl.type_id]] += pr
-        rows.append(tuple(row))
+    for tid, per_option in zip(rule.type_ids, _placement_counts(rule)):
+        probs = ([1] if rule.engine == "block" else
+                 [opt.probability.value for opt in rule.images[tid]])
+        rows.append(tuple(sum((pr * c for pr, c in zip(probs, column)), Fraction(0))
+                          for column in zip(*per_option)))
     if rule.engine == "block":
         areas = tuple(1 for _ in rule.types)
     else:
         areas = tuple(t.area for t in rule.types)
-    return SubstitutionMatrix(order, tuple(rows), areas, rule.expansion)
+    return SubstitutionMatrix(rule.type_ids, tuple(rows), areas, rule.expansion)
 
 
 def assert_area_eigenvector(M: SubstitutionMatrix) -> None:
@@ -148,30 +157,14 @@ def _count_vectors(rule: SubstitutionRule):
     """Integer count vector per type plus option counts; refuses rules whose
     option choice changes the counts (the level populations are then random
     and neither brick totals nor realization counts are well defined)."""
-    order = rule.type_ids
-    index = {tid: i for i, tid in enumerate(order)}
     rows: List[List[int]] = []
     option_counts: List[int] = []
-    for tid in order:
-        if rule.engine == "block":
-            counts = [0] * len(order)
-            for grid_row in rule.blocks[tid].cells:
-                for ref in grid_row:
-                    counts[index[ref]] += 1
-            rows.append(counts)
-            option_counts.append(1)
-            continue
-        per_option = []
-        for opt in rule.images[tid]:
-            counts = [0] * len(order)
-            for pl in opt.placements:
-                counts[index[pl.type_id]] += 1
-            per_option.append(counts)
+    for tid, per_option in zip(rule.type_ids, _placement_counts(rule)):
         if any(c != per_option[0] for c in per_option[1:]):
             raise RuleError(f"option choice changes brick counts for '{tid}';"
                             " counting is not defined for this rule")
         rows.append(per_option[0])
-        option_counts.append(len(rule.images[tid]))
+        option_counts.append(len(per_option))
     return rows, option_counts
 
 
@@ -208,8 +201,8 @@ def max_bricks(rule: SubstitutionRule, seed_type: str, n: int) -> int:
     if rule.engine == "block":
         return rule.expansion ** n
     order = rule.type_ids
-    rows = [[max(sum(pl.type_id == u for pl in opt.placements)
-                 for opt in rule.images[t]) for u in order] for t in order]
+    rows = [[max(column) for column in zip(*per_option)]
+            for per_option in _placement_counts(rule)]
     v = _seed_vector(rule, seed_type)
     for _ in range(n):
         v = _vec_mat(v, rows)

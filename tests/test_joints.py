@@ -5,10 +5,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import brickwall.generate
+import brickwall.joints
 from brickwall import (Brick, Joint, Pattern, builtin, check_prop2,
                        crossing_options, empirical_frequencies,
                        generate_pattern, has_crossing, iterate, prop2_bound,
                        report_with_crossings, v_max_at, vertical_joints)
+from brickwall.cli import main
 from oracles import rasterized_joints
 
 
@@ -179,6 +182,28 @@ def test_check_prop2_block_rule():
     assert verdict.bound is None
     assert verdict.measured_max == 2
     assert verdict.bound_respected is None
+
+
+def test_analysis_builds_each_level_once(monkeypatch, capsys):
+    calls = {"steps": 0, "has_crossing": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(brickwall.generate, "_substitute_bricks",
+                        counted("steps", brickwall.generate._substitute_bricks))
+    monkeypatch.setattr(brickwall.joints, "has_crossing",
+                        counted("has_crossing", brickwall.joints.has_crossing))
+    assert main(["analyze", "--rule", "sigma3", "--seed-brick", "B22",
+                 "-n", "7"]) == 0
+    assert "34077 bricks" in capsys.readouterr().out
+    assert calls == {"steps": 7, "has_crossing": 3}  # one per type
+    calls.update(steps=0, has_crossing=0)
+    assert check_prop2(builtin("sigma3"), "B22", 4).measured_max == 11
+    assert calls == {"steps": 4, "has_crossing": 3}
 
 
 def test_check_prop2_rejects_random():

@@ -1,6 +1,7 @@
 """SVG rendering and the command-line interface."""
 
 import contextlib
+import hashlib
 import io
 import json
 import re
@@ -157,6 +158,38 @@ def test_cli_analyze_random_rule():
     assert data["v_max"] >= 1
 
 
+# sha256 of `analyze` stdout, text and --json, frozen before analyze built
+# each level once; the single pass must print the same bytes
+ANALYZE_DIGESTS = [
+    ("--rule sigma3 --seed-brick B22 -n 5",
+     "d72b8208dc364f9c3d66c561d1c10575750076e2f5fdc450a0cd2c934e3ce3b5",
+     "eae14156d8fd9bf3694807cceea0ad8b5eb5c9cfe21617cd342f577abe61b03e"),
+    ("--rule sigma3 --seed-brick B22 -n 6",
+     "ec1bdac81769fa27e99256b859a0c218937b8c99f9b55c603c7331c6118b88f3",
+     "917d44ce370ca24afb0a42b150560e17cdd8ec625f0535829b1addb94e4781bb"),
+    ("--rule sigma3 --seed-brick B22 -n 7",
+     "8545422159901d9f54ca35b52bff6b59ae686be12c6aef38cf6aecfd3c294045",
+     "3e29a1e453cb66526b6c2801cd1ea9ba15797b4e10b33233a89a1aecbcdc8766"),
+    ("--rule rows23 --seed-brick B21 -n 4",
+     "edc5ba2fb713ce888405e2b297f31198cb53366f6f4b05fea5de30730c8d5928",
+     "3e3965dd54ddbdd35e4f4a5b18d467fe3824408cd9d875754379d5b485735d8d"),
+    ("--rule ptm_skewed --seed-brick 0 -n 5",
+     "1ced74c9375ee553478f155db7b5c10bed412a5a68fe09ef43a1250a2152bb0d",
+     "f109b966801f840cd32a35ea34f52f9938ed82020f552346d2dd2f031f9a9d3a"),
+    ("--rule random_pp --seed-brick B22 -n 4 -p 1/2 --rng-seed 7",
+     "198b39a66bff7009e3a9ffb2f34656959f62cf87f5df8465c3d8326949058807",
+     "d1badfbdb95c9bf7fa0f04729f6524f98ec427b2f074690f5ce2f2971e629a50"),
+]
+
+
+@pytest.mark.parametrize("args,text_sha,json_sha", ANALYZE_DIGESTS)
+def test_cli_analyze_frozen_digests(args, text_sha, json_sha):
+    for extra, expected in (([], text_sha), (["--json"], json_sha)):
+        code, stdout, stderr = run("analyze", *args.split(), *extra)
+        assert code == 0 and stderr == ""
+        assert hashlib.sha256(stdout.encode()).hexdigest() == expected
+
+
 def test_cli_spectrum():
     code, stdout, _ = run("spectrum", "--rule", "rows23")
     assert code == 0
@@ -291,6 +324,9 @@ def test_cli_analyze_invalid_rule_file(tmp_path):
      "outside [0, 1]"),
     (("sample", "--rule", "random_pp", "--seed-brick", "B22", "-p", "zebra"),
      "-p"),
+    (("validate", "--rule", "."), "cannot read rule file '.'"),
+    (("analyze", "--rule", ".", "--seed-brick", "A", "-n", "1"),
+     "cannot read rule file '.'"),
 ])
 def test_cli_usage_errors_exit_2(argv, fragment):
     code, stdout, stderr = run(*argv)
@@ -309,6 +345,17 @@ def test_cli_failed_generate_writes_nothing(tmp_path):
                      "-n", "1", "--out", str(out2))
     assert code == 2
     assert not out2.exists()
+    # the suffix is checked before the wall is built: -n 12 is over the
+    # brick budget (exit 1), but the bad --out is reported first
+    code, _, stderr = run("generate", "--rule", "sigma3", "--seed-brick",
+                          "B22", "-n", "12", "--out", str(out))
+    assert code == 2 and ".svg or .txt" in stderr
+    out3 = tmp_path / "missing" / "never.svg"
+    code, stdout, stderr = run("generate", "--rule", "sigma3", "--seed-brick",
+                               "B22", "-n", "1", "--out", str(out3))
+    assert code == 2 and stdout == ""
+    assert f"cannot write '{out3}'" in stderr
+    assert not (tmp_path / "missing").exists()
 
 
 def test_cli_module_entry_point(tmp_path):
