@@ -39,6 +39,14 @@ class Brick:
 
 @dataclass(frozen=True)
 class Pattern:
+    """A wall: its bricks and how it was made.
+
+    Every builder here (iterate, substitute_once, render_grid,
+    parse_pattern) emits the bricks in (y, x, type_id) order, and the
+    outputs take one pass over them in that order.  A hand-built pattern
+    may list its bricks in any order; the outputs then sort a copy and
+    give the same bytes."""
+
     rule_name: str
     level: int
     seed_type: Optional[str]
@@ -56,10 +64,18 @@ class Pattern:
         """(min_x, min_y, max_x, max_y) of the covered region."""
         if not self.bricks:
             raise ValueError("empty pattern has no bounding box")
-        return (min(b.x for b in self.bricks),
-                min(b.y for b in self.bricks),
-                max(b.x + b.width for b in self.bricks),
-                max(b.y + b.height for b in self.bricks))
+        b = self.bricks[0]
+        min_x, min_y, max_x, max_y = b.x, b.y, b.x + b.width, b.y + b.height
+        for b in self.bricks:
+            if b.x < min_x:
+                min_x = b.x
+            if b.y < min_y:
+                min_y = b.y
+            if b.x + b.width > max_x:
+                max_x = b.x + b.width
+            if b.y + b.height > max_y:
+                max_y = b.y + b.height
+        return min_x, min_y, max_x, max_y
 
 
 @dataclass(frozen=True)
@@ -72,6 +88,15 @@ class LetterGrid:
 
 
 _ORDER = lambda b: (b.y, b.x, b.type_id)  # noqa: E731  draw + output order
+
+
+def _in_order(bricks) -> bool:
+    """True iff the bricks are in _ORDER, as every wall built here is."""
+    for a, b in zip(bricks, bricks[1:]):
+        if b.y < a.y or b.y == a.y and (b.x < a.x or b.x == a.x
+                                        and b.type_id < a.type_id):
+            return False
+    return True
 
 
 def check_no_overlap(bricks: Iterable[Brick]) -> None:
@@ -195,7 +220,9 @@ def _choose_option(options, rng):
 def _substitute_bricks(rule: SubstitutionRule, bricks, rng) -> Tuple[Brick, ...]:
     sizes = {t.id: (t.width, t.height) for t in rule.types}
     out = []
-    for b in sorted(bricks, key=_ORDER):
+    if not _in_order(bricks):  # draws follow _ORDER, whatever the input order
+        bricks = sorted(bricks, key=_ORDER)
+    for b in bricks:
         opt = _choose_option(rule.images[b.type_id], rng)
         ax, ay = rule.lambda1 * b.x, rule.lambda2 * b.y
         for pl in opt.placements:
@@ -320,7 +347,6 @@ def render_grid(rule: SubstitutionRule, grid: LetterGrid) -> Pattern:
             w = widths[letter]
             bricks.append(Brick(letter, x, r, w, 1))
             x += w
-    bricks.sort(key=_ORDER)
     return Pattern(rule.name, grid.level, grid.seed_letter, None, tuple(bricks))
 
 
@@ -348,9 +374,11 @@ _HEADER_RE = re.compile(r"#\s*rule=(\S+)\s+n=(\d+)\s+seed=(\S+)\s*$")
 
 def format_pattern(pattern: Pattern) -> str:
     seed = "-" if pattern.rng_seed is None else str(pattern.rng_seed)
+    bricks = pattern.bricks
+    if not _in_order(bricks):
+        bricks = sorted(bricks, key=_ORDER)
     lines = [f"# rule={pattern.rule_name} n={pattern.level} seed={seed}"]
-    for b in sorted(pattern.bricks, key=_ORDER):
-        lines.append(f"{b.type_id} {b.x} {b.y} {b.width} {b.height}")
+    lines += [f"{b.type_id} {b.x} {b.y} {b.width} {b.height}" for b in bricks]
     return "\n".join(lines) + "\n"
 
 

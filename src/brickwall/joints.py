@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import repeat
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .generate import Brick, Pattern, generate_pattern, levels
@@ -42,40 +43,39 @@ class JointReport:
         }
 
 
-def _merge(intervals: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
-    """Union of closed integer intervals; touching intervals merge."""
-    intervals.sort()
-    merged: List[Tuple[int, int]] = []
-    for y0, y1 in intervals:
-        if merged and y0 <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], y1))
-        else:
-            merged.append((y0, y1))
-    return merged
-
-
-def _edge_segments(bricks) -> Dict[int, List[Tuple[int, int]]]:
-    """Merged vertical edge runs per abscissa, exterior included."""
-    edges: Dict[int, List[Tuple[int, int]]] = {}
+def _edge_segments(bricks) -> Dict[int, List[int]]:
+    """Merged vertical edge runs per abscissa, exterior included, each as a
+    flat list y0, y1, y0, y1, ... of disjoint runs from the bottom up.
+    Touching edges merge.  Bricks in y order (every generated pattern)
+    take one pass; others are sorted by y first."""
+    runs: Dict[int, List[int]] = {}
+    last = None
     for b in bricks:
-        edges.setdefault(b.x, []).append((b.y, b.y + b.height))
-        edges.setdefault(b.x + b.width, []).append((b.y, b.y + b.height))
-    return {x: _merge(ivs) for x, ivs in edges.items()}
+        y0 = b.y
+        if last is not None and y0 < last:
+            return _edge_segments(sorted(bricks, key=lambda b: b.y))
+        last, y1 = y0, y0 + b.height
+        for x in (b.x, b.x + b.width):
+            run = runs.get(x)
+            if run is None:
+                runs[x] = [y0, y1]
+            elif y0 > run[-1]:
+                run += (y0, y1)
+            elif y1 > run[-1]:
+                run[-1] = y1
+    return runs
 
 
 def vertical_joints(pattern: Pattern) -> JointReport:
     """All maximal vertical joints of an overlap-free pattern, and their max
     length.  Abscissas with no bricks strictly left or strictly right of
     them (the pattern's outline) carry no joints."""
-    if not pattern.bricks:
-        return JointReport(0, (), pattern)
-    min_x = min(b.x for b in pattern.bricks)
-    max_x = max(b.x + b.width for b in pattern.bricks)
     joints = []
-    for x, segments in sorted(_edge_segments(pattern.bricks).items()):
-        if x <= min_x or x >= max_x:
-            continue
-        joints.extend(Joint(x, y0, y1) for y0, y1 in segments)
+    # the least and the greatest abscissa are the outline
+    runs = _edge_segments(pattern.bricks)
+    for x in sorted(runs)[1:-1]:
+        run = runs[x]
+        joints += map(Joint, repeat(x), run[::2], run[1::2])
     v_max = max((j.length for j in joints), default=0)
     return JointReport(v_max, tuple(joints), pattern)
 
@@ -115,8 +115,8 @@ def _bricks_have_crossing(bricks) -> bool:
         for cx in range(b.x, b.x + b.width):
             for cy in range(b.y, b.y + b.height):
                 cells.add((cx, cy))
-    for x, segments in _edge_segments(bricks).items():
-        for y0, y1 in segments:
+    for x, run in _edge_segments(bricks).items():
+        for y0, y1 in zip(run[::2], run[1::2]):
             if _segment_crosses(cells, x, y0, y1):
                 return True
     return False

@@ -119,6 +119,7 @@ class SubstitutionRule:
     images: Mapping[str, Tuple[ImageOption, ...]] = field(default_factory=dict)
     blocks: Mapping[str, BlockImage] = field(default_factory=dict)
     # the rule bind() made this one from; it shares the overlap certificate
+    # and the growth bounds
     unbound: Optional["SubstitutionRule"] = field(default=None, repr=False,
                                                   compare=False)
 
@@ -147,6 +148,15 @@ class SubstitutionRule:
             return self.unbound.overlap_certificate
         from .generate import overlap_certificate  # generate imports rules
         return overlap_certificate(self)
+
+    @cached_property
+    def growth_bounds(self):
+        """spectral.growth_bounds of this rule, computed on first use and
+        shared with the rule it was bound from: it ignores probabilities."""
+        if self.unbound is not None:
+            return self.unbound.growth_bounds
+        from .spectral import growth_bounds  # spectral imports rules
+        return growth_bounds(self)
 
     def get_type(self, type_id: str) -> BrickType:
         for t in self.types:

@@ -11,6 +11,7 @@ integers throughout.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -175,8 +176,7 @@ def _seed_vector(rule, seed_type):
 
 
 def _vec_mat(v, rows):
-    size = len(rows)
-    return [sum(v[i] * rows[i][j] for i in range(size)) for j in range(size)]
+    return [sum(map(operator.mul, v, column)) for column in zip(*rows)]
 
 
 def count_bricks(rule: SubstitutionRule, seed_type: str, n: int) -> int:
@@ -190,6 +190,19 @@ def count_bricks(rule: SubstitutionRule, seed_type: str, n: int) -> int:
     return sum(v)
 
 
+def growth_bounds(rule: SubstitutionRule
+                  ) -> Tuple[List[List[int]], Fraction, int]:
+    """The parts of max_bricks that depend on the rule alone: per type, the
+    most bricks of each type any of its options places; the largest option
+    area / type area; the smallest brick area."""
+    rows = [[max(column) for column in zip(*per_option)]
+            for per_option in _placement_counts(rule)]
+    area = {t.id: t.area for t in rule.types}
+    growth = max(Fraction(sum(area[pl.type_id] for pl in opt.placements),
+                          area[t]) for t in rule.type_ids for opt in rule.images[t])
+    return rows, growth, min(area.values())
+
+
 def max_bricks(rule: SubstitutionRule, seed_type: str, n: int) -> int:
     """Most bricks the n-th image of the seed can hold.  The lesser of two
     bounds: every brick places, of each type, the most any of its options
@@ -200,16 +213,13 @@ def max_bricks(rule: SubstitutionRule, seed_type: str, n: int) -> int:
     seed = rule.get_type(seed_type)
     if rule.engine == "block":
         return rule.expansion ** n
-    order = rule.type_ids
-    rows = [[max(column) for column in zip(*per_option)]
-            for per_option in _placement_counts(rule)]
+    rows, growth, min_area = rule.growth_bounds
     v = _seed_vector(rule, seed_type)
     for _ in range(n):
         v = _vec_mat(v, rows)
-    area = {t.id: t.area for t in rule.types}
-    growth = max(Fraction(sum(area[pl.type_id] for pl in opt.placements),
-                          area[t]) for t in order for opt in rule.images[t])
-    return min(sum(v), math.floor(seed.area * growth ** n / min(area.values())))
+    area_bound = (seed.area * growth.numerator ** n
+                  // (growth.denominator ** n * min_area))
+    return min(sum(v), area_bound)
 
 
 def _prime_factors(k: int) -> Dict[int, int]:

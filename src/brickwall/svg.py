@@ -2,13 +2,13 @@
 
 Lattice row 0 renders at the bottom (y axis flipped), one rect per brick,
 stroked with the mortar color.  Output is byte-deterministic: bricks are
-emitted in (y, x) order and numbers use fixed formatting with at most three
-decimals.
+emitted in (y, x) order, the order generated patterns already have, and
+numbers use fixed formatting with at most three decimals.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 from .generate import Pattern
@@ -27,6 +27,18 @@ class RenderStyle:
 def _fmt(v: float) -> str:
     s = f"{v:.3f}".rstrip("0").rstrip(".")
     return s if s and s != "-0" else "0"
+
+
+class _Memo(dict):
+    """fn(key), computed on the first lookup of each key."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
 def to_svg(pattern: Pattern, style: Optional[RenderStyle] = None,
@@ -61,12 +73,25 @@ def to_svg(pattern: Pattern, style: Optional[RenderStyle] = None,
     if style.background:
         lines.append(f'<rect x="0" y="0" width="{_fmt(width)}"'
                      f' height="{_fmt(height)}" fill="{style.background}"/>')
-    for b in sorted(pattern.bricks, key=lambda b: (b.y, b.x)):
-        px = (b.x - min_x) * cs + pad
-        py = (max_y - b.y - b.height) * cs + pad  # flip so row 0 is at the bottom
-        lines.append(f'<rect x="{_fmt(px)}" y="{_fmt(py)}"'
-                     f' width="{_fmt(b.width * cs)}" height="{_fmt(b.height * cs)}"'
-                     f' fill="{colors[b.type_id]}" stroke="{style.mortar_color}"'
-                     f' stroke-width="{_fmt(style.mortar_width)}"/>')
+
+    def size_and_paint(key):
+        tid, w, h = key
+        return (f' width="{_fmt(w * cs)}" height="{_fmt(h * cs)}"'
+                f' fill="{colors[tid]}" stroke="{style.mortar_color}"'
+                f' stroke-width="{_fmt(style.mortar_width)}"/>')
+
+    # each distinct x, top edge and (type, size) is formatted once
+    head = _Memo(lambda x: f'<rect x="{_fmt((x - min_x) * cs + pad)}" y="')
+    # flip so row 0 is at the bottom
+    mid = _Memo(lambda top: f'{_fmt((max_y - top) * cs + pad)}"')
+    tail = _Memo(size_and_paint)
+    y, x = pattern.bricks[0].y, pattern.bricks[0].x
+    for b in pattern.bricks:
+        if b.y < y or b.y == y and b.x < x:  # a hand-built pattern
+            bricks = tuple(sorted(pattern.bricks, key=lambda b: (b.y, b.x)))
+            return to_svg(replace(pattern, bricks=bricks), style, rule)
+        y, x = b.y, b.x
+        lines.append(head[x] + mid[y + b.height]
+                     + tail[b.type_id, b.width, b.height])
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -1,6 +1,7 @@
 """Generation engine: iterate, substitute_once, block grids, pattern text."""
 
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,8 @@ from brickwall import (Brick, OverlapError, Pattern, RuleError,
                        SplitMix64, builtin, check_no_overlap, count_bricks,
                        format_pattern, generate_pattern, iterate,
                        iterate_block, overlap_certificate, parse_pattern,
-                       parse_rule, ptm_oracle, render_grid, substitute_once)
+                       parse_rule, ptm_oracle, render_grid, substitute_once,
+                       to_svg, vertical_joints)
 from brickwall.generate import MAX_BRICKS
 
 SIGMA3_B22_IMAGE = {
@@ -355,3 +357,32 @@ def test_text_lines_sorted_by_row_then_column():
     rows = [ln.split() for ln in format_pattern(pat).splitlines()[1:]]
     keys = [(int(r[2]), int(r[1])) for r in rows]
     assert keys == sorted(keys)
+
+
+# (rule, seed brick, rng seed) of walls whose bricks the next test shuffles
+SHUFFLED_WALLS = [("sigma3", "B22", None), ("rows23", "B21", None),
+                  ("ptm", "1", None), ("ptm_skewed", "0", None),
+                  ("random_pp", "B22", 5)]
+
+
+@given(wall=st.sampled_from(SHUFFLED_WALLS), n=st.integers(1, 3),
+       order=st.integers(0, 2 ** 32))
+@settings(max_examples=40, deadline=None)
+def test_outputs_ignore_brick_order(wall, n, order):
+    name, seed, rng_seed = wall
+    rule = builtin(name, p=Fraction(1, 3) if name == "random_pp" else None)
+    pat = generate_pattern(rule, seed, n, rng_seed)
+    keys = [(b.y, b.x, b.type_id) for b in pat.bricks]
+    assert keys == sorted(keys)  # every builder emits this order
+    bricks = list(pat.bricks)
+    random.Random(order).shuffle(bricks)
+    shuffled = Pattern(pat.rule_name, pat.level, pat.seed_type, pat.rng_seed,
+                       tuple(bricks))
+    assert to_svg(shuffled, rule=rule) == to_svg(pat, rule=rule)
+    assert to_svg(shuffled) == to_svg(pat)
+    assert format_pattern(shuffled) == format_pattern(pat)
+    a, b = vertical_joints(shuffled), vertical_joints(pat)
+    assert (a.joints, a.v_max) == (b.joints, b.v_max)
+    if rule.engine == "geometric":  # draws follow (y, x, type_id) order
+        assert substitute_once(rule, shuffled, SplitMix64(3)).bricks == \
+            substitute_once(rule, pat, SplitMix64(3)).bricks

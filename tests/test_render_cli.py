@@ -7,11 +7,12 @@ import json
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from brickwall import (Brick, Pattern, RenderStyle, builtin, iterate,
-                       parse_pattern, to_svg)
+from brickwall import (Brick, Pattern, RenderStyle, builtin,
+                       generate_pattern, iterate, parse_pattern, to_svg)
 from brickwall.cli import main
 from brickwall.rules import PALETTE
 
@@ -188,6 +189,34 @@ def test_cli_analyze_frozen_digests(args, text_sha, json_sha):
         code, stdout, stderr = run("analyze", *args.split(), *extra)
         assert code == 0 and stderr == ""
         assert hashlib.sha256(stdout.encode()).hexdigest() == expected
+
+
+# sha256 of to_svg output, frozen before to_svg made one pass over the
+# sorted wall; the pass must write the same bytes
+SVG_DIGESTS = [
+    ("sigma3", "B22", 5, None, {},
+     "d980296dbde2c5dc15704bbce25f8307460fb8b2ca357d4cee16954dea6c9d54"),
+    ("ptm_skewed", "1", 6, None, {},
+     "4c48bbdbf56726dab4aa4f2b455ae3e389abdf90a6fa5ea1ee6a417bfc16032c"),
+    ("ptm", "0", 4, None,
+     {"cell_size": 7.5, "mortar_width": 0.25, "background": "#fff"},
+     "933e5842b5bf25436982c9bd04f7fe509298d575e732ede0ef0119afa0d5db23"),
+    ("random_pp", "B22", 4, 1, None,  # no rule: palette colors
+     "c8f41edbc4696c481023c73b0912ba38c30e4b61b8a82a0b13451db6f3da365c"),
+]
+
+
+@pytest.mark.parametrize("name,brick,n,rng_seed,style,sha", SVG_DIGESTS)
+def test_to_svg_frozen_digests(name, brick, n, rng_seed, style, sha):
+    rule = builtin(name)
+    if rule.is_parametric:
+        rule = rule.bind(Fraction(1, 3))
+    pattern = generate_pattern(rule, brick, n, rng_seed)
+    if style is None:
+        svg = to_svg(pattern)
+    else:
+        svg = to_svg(pattern, style=RenderStyle(**style), rule=rule)
+    assert hashlib.sha256(svg.encode()).hexdigest() == sha
 
 
 def test_cli_spectrum():

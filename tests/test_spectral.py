@@ -5,10 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import brickwall.spectral
 from brickwall import (RuleError, SubstitutionMatrix, assert_area_eigenvector,
                        brick_frequencies, builtin, count_bricks,
                        count_realizations, iterate, matrix, matrix_power,
-                       parse_rule, pf_eigenvalue)
+                       parse_rule, pf_eigenvalue, sample_vmax)
 from brickwall.spectral import max_bricks, realization_factors
 from oracles import exact_left_eigenvector
 
@@ -222,6 +223,19 @@ def test_max_bricks():
     for seed in range(20):
         assert len(iterate(pp, "B22", 3, rng_seed=seed)) <= \
             max_bricks(pp, "B22", 3)
+
+
+def test_growth_bounds_computed_once_per_rule(monkeypatch):
+    calls = []
+    compute = brickwall.spectral.growth_bounds
+    monkeypatch.setattr(brickwall.spectral, "growth_bounds",
+                        lambda rule: calls.append(rule.name) or compute(rule))
+    pp = builtin("random_pp")
+    # every trial's iterate checks the budget; bound copies share the bounds
+    for p in (Fraction(1, 3), Fraction(1, 2)):
+        sample_vmax(pp, "B22", 3, p, trials=4, base_seed=1)
+    assert calls == ["random_pp"]
+    assert pp.bind(Fraction(1, 5)).growth_bounds is pp.growth_bounds
 
 
 def test_counting_refuses_count_variant_rules():
