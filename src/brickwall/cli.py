@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: generate, analyze, validate, spectrum, count, sample.
-Exit codes: 0 ok, 1 rule diagnostics (invalid rule, overlap), 2 usage
-errors (unknown rule or brick, malformed flags).  Error paths never write
+Exit codes: 0 ok, 1 rule diagnostics (invalid rule, overlap), 2 usage and
+I/O errors (unknown rule or brick, malformed flags, unreadable --rule,
+unwritable --out, stdout closed by its reader).  Error paths never write
 to --out.
 """
 
@@ -262,7 +263,12 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows up here, not at exit
+        return code
+    except BrokenPipeError:  # no reader: the SIGPIPE recipe of the Python docs
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code

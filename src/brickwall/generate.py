@@ -12,13 +12,15 @@ import bisect
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, List, Optional, Tuple
+from itertools import pairwise
+from operator import attrgetter
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from .rng import SplitMix64
 from .rules import RuleError, SubstitutionRule
 from .spectral import max_bricks
 
-MAX_DEPTH = 12  # default allocation guard; override per call if you mean it
+MAX_DEPTH = 12  # allocation guard on the depth of any wall
 MAX_BRICKS = 2 ** 21  # most bricks one wall may hold, checked before building
 
 
@@ -26,9 +28,9 @@ class OverlapError(RuleError):
     """Two bricks overlap; the rule is not a valid tiling substitution."""
 
 
-@dataclass(frozen=True)
-class Brick:
-    """A placed brick occupying [x, x+width) x [y, y+height)."""
+class Brick(NamedTuple):
+    """A placed brick occupying [x, x+width) x [y, y+height); equal to the
+    plain tuple of its fields, whose order is not the wall order, _ORDER."""
 
     type_id: str
     x: int
@@ -41,17 +43,21 @@ class Brick:
 class Pattern:
     """A wall: its bricks and how it was made.
 
-    Every builder here (iterate, substitute_once, render_grid,
-    parse_pattern) emits the bricks in (y, x, type_id) order, and the
-    outputs take one pass over them in that order.  A hand-built pattern
-    may list its bricks in any order; the outputs then sort a copy and
-    give the same bytes."""
+    The bricks are always in _ORDER, (y, x, type_id): a pattern made from
+    bricks in any other order (hand-built, parsed, or just substituted)
+    holds a sorted copy.  The PRNG draws and every output take one pass
+    over them in that order."""
 
     rule_name: str
     level: int
     seed_type: Optional[str]
     rng_seed: Optional[int]
     bricks: Tuple[Brick, ...]
+
+    def __post_init__(self):
+        if not _in_order(self.bricks):
+            object.__setattr__(self, "bricks",
+                               tuple(sorted(self.bricks, key=_ORDER)))
 
     def __len__(self):
         return len(self.bricks)
@@ -87,16 +93,12 @@ class LetterGrid:
     seed_letter: Optional[str] = None
 
 
-_ORDER = lambda b: (b.y, b.x, b.type_id)  # noqa: E731  draw + output order
+_ORDER = attrgetter("y", "x", "type_id")  # wall order: draws and outputs
 
 
 def _in_order(bricks) -> bool:
-    """True iff the bricks are in _ORDER, as every wall built here is."""
-    for a, b in zip(bricks, bricks[1:]):
-        if b.y < a.y or b.y == a.y and (b.x < a.x or b.x == a.x
-                                        and b.type_id < a.type_id):
-            return False
-    return True
+    """True iff the bricks are in _ORDER; stops at the first pair that is not."""
+    return all(a <= b for a, b in pairwise(map(_ORDER, bricks)))
 
 
 def check_no_overlap(bricks: Iterable[Brick]) -> None:
@@ -218,17 +220,15 @@ def _choose_option(options, rng):
 
 
 def _substitute_bricks(rule: SubstitutionRule, bricks, rng) -> Tuple[Brick, ...]:
+    # draws follow the order of bricks: pass a Pattern's, which keeps _ORDER
     sizes = {t.id: (t.width, t.height) for t in rule.types}
     out = []
-    if not _in_order(bricks):  # draws follow _ORDER, whatever the input order
-        bricks = sorted(bricks, key=_ORDER)
     for b in bricks:
         opt = _choose_option(rule.images[b.type_id], rng)
         ax, ay = rule.lambda1 * b.x, rule.lambda2 * b.y
         for pl in opt.placements:
             w, h = sizes[pl.type_id]
             out.append(Brick(pl.type_id, ax + pl.dx, ay + pl.dy, w, h))
-    out.sort(key=_ORDER)
     return tuple(out)
 
 
@@ -254,15 +254,15 @@ def _check_brick_types(rule, bricks):
                             f" {b.width}x{b.height}, rule says {t.width}x{t.height}")
 
 
-def _walls(rule, seed_type, n, rng_seed, max_depth):
+def _walls(rule, seed_type, n, rng_seed):
     """Check the arguments, then yield the wall of one seed at levels 0..n,
     each made from the one before by one substitution step: a Pattern for a
     geometric rule, a LetterGrid for a block rule."""
     seed = rule.get_type(seed_type)
     if n < 0:
         raise ValueError(f"depth must be >= 0, got {n}")
-    if n > max_depth:
-        raise ValueError(f"depth {n} exceeds max_depth={max_depth}")
+    if n > MAX_DEPTH:
+        raise ValueError(f"depth {n} exceeds MAX_DEPTH={MAX_DEPTH}")
     if rule.is_parametric:
         raise RuleError(f"rule '{rule.name}' has unbound parameter p; bind it first")
     rng = None
@@ -284,28 +284,29 @@ def _walls(rule, seed_type, n, rng_seed, max_depth):
     bricks = (Brick(seed.id, 0, 0, seed.width, seed.height),)
     for level in range(n + 1):
         if level:
-            bricks = _substitute_bricks(rule, bricks, rng)
+            bricks = _substitute_bricks(rule, pattern.bricks, rng)
             if sweep:
                 check_no_overlap(bricks)
-        yield Pattern(rule.name, level, seed_type, rng_seed, bricks)
+        pattern = Pattern(rule.name, level, seed_type, rng_seed, bricks)
+        yield pattern
 
 
 def levels(rule: SubstitutionRule, seed_type: str, n: int,
            rng_seed: Optional[int] = None) -> Iterator[Pattern]:
     """The wall of one seed at levels 0..n, for either engine: n
     substitution steps in all, each level made from the one before."""
-    for wall in _walls(rule, seed_type, n, rng_seed, MAX_DEPTH):
+    for wall in _walls(rule, seed_type, n, rng_seed):
         yield render_grid(rule, wall) if rule.engine == "block" else wall
 
 
 def iterate(rule: SubstitutionRule, seed_type: str, n: int,
-            rng_seed: Optional[int] = None, max_depth: int = MAX_DEPTH) -> Pattern:
+            rng_seed: Optional[int] = None) -> Pattern:
     """Apply the rule n times to a single seed brick at the origin.
 
     Levels are swept for overlaps only when the rule's overlap certificate
     is not "certified"."""
     _require_geometric(rule)
-    for pattern in _walls(rule, seed_type, n, rng_seed, max_depth):
+    for pattern in _walls(rule, seed_type, n, rng_seed):
         pass
     return pattern
 
@@ -326,12 +327,11 @@ def substitute_once(rule: SubstitutionRule, pattern: Pattern,
                    pattern.rng_seed, bricks)
 
 
-def iterate_block(rule: SubstitutionRule, seed_letter: str, n: int,
-                  max_depth: int = MAX_DEPTH) -> LetterGrid:
+def iterate_block(rule: SubstitutionRule, seed_letter: str, n: int) -> LetterGrid:
     """Grow a letter grid by block substitution, n levels from one letter."""
     if rule.engine != "block":
         raise RuleError(f"rule '{rule.name}' is not a block rule")
-    for grid in _walls(rule, seed_letter, n, None, max_depth):
+    for grid in _walls(rule, seed_letter, n, None):
         pass
     return grid
 
@@ -351,12 +351,11 @@ def render_grid(rule: SubstitutionRule, grid: LetterGrid) -> Pattern:
 
 
 def generate_pattern(rule: SubstitutionRule, seed_type: str, n: int,
-                     rng_seed: Optional[int] = None,
-                     max_depth: int = MAX_DEPTH) -> Pattern:
+                     rng_seed: Optional[int] = None) -> Pattern:
     """Engine dispatch: iterate for geometric rules, grow + render for block."""
     if rule.engine == "block":
-        return render_grid(rule, iterate_block(rule, seed_type, n, max_depth))
-    return iterate(rule, seed_type, n, rng_seed, max_depth)
+        return render_grid(rule, iterate_block(rule, seed_type, n))
+    return iterate(rule, seed_type, n, rng_seed)
 
 
 def ptm_oracle(i: int, j: int) -> str:
@@ -374,11 +373,8 @@ _HEADER_RE = re.compile(r"#\s*rule=(\S+)\s+n=(\d+)\s+seed=(\S+)\s*$")
 
 def format_pattern(pattern: Pattern) -> str:
     seed = "-" if pattern.rng_seed is None else str(pattern.rng_seed)
-    bricks = pattern.bricks
-    if not _in_order(bricks):
-        bricks = sorted(bricks, key=_ORDER)
     lines = [f"# rule={pattern.rule_name} n={pattern.level} seed={seed}"]
-    lines += [f"{b.type_id} {b.x} {b.y} {b.width} {b.height}" for b in bricks]
+    lines += [f"{t} {x} {y} {w} {h}" for t, x, y, w, h in pattern.bricks]
     return "\n".join(lines) + "\n"
 
 
@@ -398,5 +394,4 @@ def parse_pattern(text: str) -> Pattern:
             raise ValueError(f"bad pattern line: {ln!r}")
         tid, x, y, w, h = parts[0], *map(int, parts[1:])
         bricks.append(Brick(tid, x, y, w, h))
-    bricks.sort(key=_ORDER)
     return Pattern(rule_name, level, None, rng_seed, tuple(bricks))

@@ -11,14 +11,16 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import repeat
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
-from .generate import Brick, Pattern, generate_pattern, levels
+from .generate import _ORDER, Brick, Pattern, generate_pattern, levels
 from .rules import RuleError, SubstitutionRule
 
 
-@dataclass(frozen=True)
-class Joint:
+class Joint(NamedTuple):
+    """Mortar on the line x from y0 to y1; equal to the plain tuple (x, y0,
+    y1), whose order is vertical_joints' order, not the wall order."""
+
     x: int
     y0: int
     y1: int
@@ -38,7 +40,7 @@ class JointReport:
     def to_json(self) -> dict:
         return {
             "v_max": self.v_max,
-            "joints": [{"x": j.x, "y0": j.y0, "y1": j.y1} for j in self.joints],
+            "joints": [j._asdict() for j in self.joints],
             "crossings": dict(self.crossings) if self.crossings else {},
         }
 
@@ -46,16 +48,12 @@ class JointReport:
 def _edge_segments(bricks) -> Dict[int, List[int]]:
     """Merged vertical edge runs per abscissa, exterior included, each as a
     flat list y0, y1, y0, y1, ... of disjoint runs from the bottom up.
-    Touching edges merge.  Bricks in y order (every generated pattern)
-    take one pass; others are sorted by y first."""
+    Touching edges merge.  One pass over bricks in y order: a Pattern's
+    bricks, or an image's from _image_bricks."""
     runs: Dict[int, List[int]] = {}
-    last = None
-    for b in bricks:
-        y0 = b.y
-        if last is not None and y0 < last:
-            return _edge_segments(sorted(bricks, key=lambda b: b.y))
-        last, y1 = y0, y0 + b.height
-        for x in (b.x, b.x + b.width):
+    for _, x0, y0, w, h in bricks:
+        y1 = y0 + h
+        for x in (x0, x0 + w):
             run = runs.get(x)
             if run is None:
                 runs[x] = [y0, y1]
@@ -91,7 +89,7 @@ def _image_bricks(rule: SubstitutionRule, opt):
     for pl in opt.placements:
         t = rule.get_type(pl.type_id)
         bricks.append(Brick(pl.type_id, pl.dx, pl.dy, t.width, t.height))
-    return bricks
+    return sorted(bricks, key=_ORDER)  # a rule lists them in any order
 
 
 def _segment_crosses(cells, x, y0, y1) -> bool:

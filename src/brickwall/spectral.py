@@ -91,38 +91,36 @@ def assert_area_eigenvector(M: SubstitutionMatrix) -> None:
                              f" {M.type_order[i]}: {lhs} != {rhs}")
 
 
-def _power_iteration(a: np.ndarray, tol: float, max_iter: int):
+def _power_iteration(a: np.ndarray):
     x = np.ones(a.shape[0])
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         y = a @ x
         lam = float(np.max(np.abs(y)))
         if lam == 0.0:
             return 0.0, x
         xn = y / lam
-        if float(np.max(np.abs(xn - x))) < tol:
+        if float(np.max(np.abs(xn - x))) < _TOL:
             return lam, xn
         x = xn
-    raise RuntimeError(f"power iteration did not converge in {max_iter} steps")
+    raise RuntimeError(f"power iteration did not converge in {_MAX_ITER} steps")
 
 
 def _as_float_array(M: SubstitutionMatrix) -> np.ndarray:
     return np.array([[float(e) for e in row] for row in M.entries])
 
 
-def pf_eigenvalue(M: SubstitutionMatrix, tol: float = _TOL,
-                  max_iter: int = _MAX_ITER) -> float:
+def pf_eigenvalue(M: SubstitutionMatrix) -> float:
     """Dominant eigenvalue by power iteration (all-ones start, max-norm
     convergence).  Also asserts the exact area eigenvector identity."""
     assert_area_eigenvector(M)
-    lam, _ = _power_iteration(_as_float_array(M), tol, max_iter)
+    lam, _ = _power_iteration(_as_float_array(M))
     return lam
 
 
-def brick_frequencies(M: SubstitutionMatrix, tol: float = _TOL,
-                      max_iter: int = _MAX_ITER) -> Tuple[float, ...]:
+def brick_frequencies(M: SubstitutionMatrix) -> Tuple[float, ...]:
     """Normalized left eigenvector for the dominant eigenvalue: the
     asymptotic share of each brick type."""
-    _, vec = _power_iteration(_as_float_array(M).T, tol, max_iter)
+    _, vec = _power_iteration(_as_float_array(M).T)
     total = float(np.sum(vec))
     if total == 0.0:
         raise RuntimeError("left eigenvector collapsed to zero")

@@ -2,13 +2,13 @@
 
 Lattice row 0 renders at the bottom (y axis flipped), one rect per brick,
 stroked with the mortar color.  Output is byte-deterministic: bricks are
-emitted in (y, x) order, the order generated patterns already have, and
+emitted in the (y, x, type_id) order every Pattern keeps, in one pass, and
 numbers use fixed formatting with at most three decimals.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .generate import Pattern
@@ -85,13 +85,7 @@ def to_svg(pattern: Pattern, style: Optional[RenderStyle] = None,
     # flip so row 0 is at the bottom
     mid = _Memo(lambda top: f'{_fmt((max_y - top) * cs + pad)}"')
     tail = _Memo(size_and_paint)
-    y, x = pattern.bricks[0].y, pattern.bricks[0].x
-    for b in pattern.bricks:
-        if b.y < y or b.y == y and b.x < x:  # a hand-built pattern
-            bricks = tuple(sorted(pattern.bricks, key=lambda b: (b.y, b.x)))
-            return to_svg(replace(pattern, bricks=bricks), style, rule)
-        y, x = b.y, b.x
-        lines.append(head[x] + mid[y + b.height]
-                     + tail[b.type_id, b.width, b.height])
+    for tid, x, y, w, h in pattern.bricks:
+        lines.append(head[x] + mid[y + h] + tail[tid, w, h])
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

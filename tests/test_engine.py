@@ -65,8 +65,6 @@ def test_iterate_errors():
         iterate(rule, "B11", -1)
     with pytest.raises(ValueError):
         iterate(rule, "B11", 13)  # default depth cap
-    with pytest.raises(ValueError):
-        iterate(rule, "B11", 3, max_depth=2)
     with pytest.raises(RuleError):
         iterate(builtin("random_self_similar"), "B22", 2)  # no rng_seed
     with pytest.raises(RuleError):
@@ -378,6 +376,10 @@ def test_outputs_ignore_brick_order(wall, n, order):
     random.Random(order).shuffle(bricks)
     shuffled = Pattern(pat.rule_name, pat.level, pat.seed_type, pat.rng_seed,
                        tuple(bricks))
+    assert shuffled.bricks == pat.bricks  # a Pattern keeps the wall order
+    header, *lines = format_pattern(pat).splitlines()
+    random.Random(order).shuffle(lines)
+    assert parse_pattern("\n".join([header, *lines])).bricks == pat.bricks
     assert to_svg(shuffled, rule=rule) == to_svg(pat, rule=rule)
     assert to_svg(shuffled) == to_svg(pat)
     assert format_pattern(shuffled) == format_pattern(pat)

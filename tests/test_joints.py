@@ -1,5 +1,7 @@
 """Vertical joints, crossings, and empirical type frequencies."""
 
+import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 import brickwall.generate
 import brickwall.joints
-from brickwall import (Brick, Joint, Pattern, builtin, check_prop2,
+from brickwall import (BUILTIN_SOURCES, Brick, Joint, Pattern, builtin,
+                       check_prop2, parse_rule,
                        crossing_options, empirical_frequencies,
                        generate_pattern, has_crossing, iterate, prop2_bound,
                        report_with_crossings, v_max_at, vertical_joints)
@@ -126,6 +129,28 @@ def test_crossing_options_reference():
     assert crossing_options(builtin("sigma3"), "B22") == (False,)
     assert crossing_options(builtin("rows23"), "B11") == (False,)
     assert crossing_options(builtin("rows23"), "B21") == (False,)
+
+
+@pytest.mark.parametrize("name", ["sigma3", "rows23", "random_self_similar",
+                                  "random_pp"])
+def test_crossing_options_ignore_placement_order(name):
+    # every builtin image lists its placements bottom row first; a rule may
+    # list them in any order and the verdicts must not change
+    source = BUILTIN_SOURCES[name]
+    rule = parse_rule(source)
+    assert rule.engine == "geometric"
+    want = {tid: crossing_options(rule, tid) for tid in rule.type_ids}
+    for permute in (list.reverse, random.Random(1).shuffle,
+                    random.Random(2).shuffle):
+        def permuted(m):
+            placements = m.group(1).split(";")
+            permute(placements)
+            return "{" + ";".join(placements) + "}"
+
+        shuffled = parse_rule(re.sub(r"\{([^}]*)\}", permuted, source))
+        assert shuffled.images != rule.images
+        assert {tid: crossing_options(shuffled, tid)
+                for tid in shuffled.type_ids} == want
 
 
 def test_crossing_options_random_rules():

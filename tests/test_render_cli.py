@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -393,3 +394,19 @@ def test_cli_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert res.returncode == 0
     assert res.stdout.startswith("ok: rule 'ptm'")
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_cli_closed_stdout_exits_2_quietly(unbuffered):
+    # `brickwall spectrum ... | (exec 0<&-; ...)`: the reader is gone, and
+    # a buffered stdout fails only when it is flushed
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        res = subprocess.run(
+            [sys.executable, "-m", "brickwall.cli", "spectrum", "--rule",
+             "sigma3"], stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONUNBUFFERED": unbuffered})
+    finally:
+        os.close(write_end)
+    assert (res.returncode, res.stderr) == (2, "")
