@@ -24,14 +24,14 @@ from .spectral import (SubstitutionMatrix, assert_area_eigenvector,
                        brick_frequencies, count_bricks, count_realizations,
                        matrix, matrix_power, pf_eigenvalue)
 from .stats import VmaxStats, sample_vmax
-from .svg import RenderStyle, to_svg
+from .svg import to_svg
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BUILTIN_SOURCES", "BlockImage", "Brick", "BrickType", "ImageOption",
     "Joint", "JointReport", "LetterGrid", "OverlapError", "Pattern",
-    "Placement", "Prob", "Prop2Verdict", "RenderStyle", "RuleError",
+    "Placement", "Prob", "Prop2Verdict", "RuleError",
     "RuleSyntaxError", "RuleValidationError", "SplitMix64",
     "SubstitutionMatrix", "SubstitutionRule", "VmaxStats",
     "assert_area_eigenvector", "brick_frequencies", "builtin",

@@ -148,9 +148,12 @@ def cmd_validate(args) -> int:
 def cmd_spectrum(args) -> int:
     rule = _bind_p(_load_rule(args.rule), args.p)
     M = matrix(rule)
-    freqs = brick_frequencies(M)
+    try:
+        freqs, lam = brick_frequencies(M), pf_eigenvalue(M)
+    except RuleError as e:
+        raise RuleError(f"rule '{rule.name}': {e}") from None
     doc = {
-        "pf_eigenvalue": pf_eigenvalue(M),
+        "pf_eigenvalue": lam,
         "expected": float(rule.expansion),
         "frequencies": {tid: f for tid, f in zip(M.type_order, freqs)},
         "matrix": [[str(e) for e in row] for row in M.entries],

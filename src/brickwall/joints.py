@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import repeat
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
-from .generate import _ORDER, Brick, Pattern, generate_pattern, levels
+from .generate import Brick, Pattern, generate_pattern, levels
 from .rules import RuleError, SubstitutionRule
 
 
@@ -89,7 +89,8 @@ def _image_bricks(rule: SubstitutionRule, opt):
     for pl in opt.placements:
         t = rule.get_type(pl.type_id)
         bricks.append(Brick(pl.type_id, pl.dx, pl.dy, t.width, t.height))
-    return sorted(bricks, key=_ORDER)  # a rule lists them in any order
+    # a rule lists them in any order; a Pattern holds them in wall order
+    return Pattern(rule.name, 1, None, None, tuple(bricks)).bricks
 
 
 def _segment_crosses(cells, x, y0, y1) -> bool:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Tuple
 
-# fallback fill colors (warm masonry tones), cycled in type order
+# default fill colors (warm masonry tones), cycled in declaration order
 PALETTE = ("#ff9900", "#cc6633", "#c57339", "#ff8000", "#b3b3ff", "#6d6d93")
 
 _ZERO = Fraction(0)

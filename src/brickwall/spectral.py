@@ -14,7 +14,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -30,8 +30,8 @@ class SubstitutionMatrix:
     entries: Tuple[Tuple[Fraction, ...], ...]
     # right eigenvector data for the exact identity M*v = expansion*v;
     # block rules count grid cells, so every letter has cell area 1
-    areas: Optional[Tuple[int, ...]] = None
-    expansion: Optional[int] = None
+    areas: Tuple[int, ...]
+    expansion: int
 
     @property
     def size(self) -> int:
@@ -81,8 +81,6 @@ def matrix(rule: SubstitutionRule) -> SubstitutionMatrix:
 def assert_area_eigenvector(M: SubstitutionMatrix) -> None:
     """Exact rational check that the area vector is a right eigenvector for
     the expansion eigenvalue; raises ValueError when the identity fails."""
-    if M.areas is None or M.expansion is None:
-        return
     for i, row in enumerate(M.entries):
         lhs = sum(row[j] * M.areas[j] for j in range(M.size))
         rhs = M.expansion * M.areas[i]
@@ -102,7 +100,8 @@ def _power_iteration(a: np.ndarray):
         if float(np.max(np.abs(xn - x))) < _TOL:
             return lam, xn
         x = xn
-    raise RuntimeError(f"power iteration did not converge in {_MAX_ITER} steps")
+    raise RuleError("substitution matrix has no unique dominant eigenvector"
+                    f" (power iteration did not converge in {_MAX_ITER} steps)")
 
 
 def _as_float_array(M: SubstitutionMatrix) -> np.ndarray:
@@ -148,8 +147,7 @@ def matrix_power(M: SubstitutionMatrix, n: int) -> SubstitutionMatrix:
             result = _matmul(result, base)
         base = _matmul(base, base)
         e >>= 1
-    expansion = M.expansion ** n if M.expansion is not None else None
-    return SubstitutionMatrix(M.type_order, result, M.areas, expansion)
+    return SubstitutionMatrix(M.type_order, result, M.areas, M.expansion ** n)
 
 
 def _count_vectors(rule: SubstitutionRule):

@@ -1,27 +1,22 @@
 """SVG rendering of brick patterns.
 
-Lattice row 0 renders at the bottom (y axis flipped), one rect per brick,
-stroked with the mortar color.  Output is byte-deterministic: bricks are
-emitted in the (y, x, type_id) order every Pattern keeps, in one pass, and
-numbers use fixed formatting with at most three decimals.
+Each brick is one rect filled with its type's color from the rule, at a
+fixed scale of CELL_SIZE units per lattice cell, stroked with MORTAR_COLOR
+at MORTAR_WIDTH; the document is padded by MORTAR_WIDTH on every side.
+Lattice row 0 renders at the bottom (y axis flipped).  Output is
+byte-deterministic: bricks are emitted in the (y, x, type_id) order every
+Pattern keeps, in one pass, and numbers use fixed formatting with at most
+three decimals.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
-
 from .generate import Pattern
-from .rules import PALETTE, SubstitutionRule
+from .rules import SubstitutionRule
 
-
-@dataclass(frozen=True)
-class RenderStyle:
-    cell_size: float = 20.0
-    mortar_width: float = 1.5
-    mortar_color: str = "#808080"
-    background: Optional[str] = None
-    palette: Tuple[str, ...] = PALETTE
+CELL_SIZE = 20
+MORTAR_WIDTH = 1.5
+MORTAR_COLOR = "#808080"
 
 
 def _fmt(v: float) -> str:
@@ -41,44 +36,24 @@ class _Memo(dict):
         return value
 
 
-def to_svg(pattern: Pattern, style: Optional[RenderStyle] = None,
-           rule: Optional[SubstitutionRule] = None) -> str:
-    """Render a pattern as an SVG document string.
-
-    Colors come from the rule's brick types when the rule is given,
-    otherwise from the style palette in sorted type order.
-    """
+def to_svg(pattern: Pattern, rule: SubstitutionRule) -> str:
+    """Render a pattern as an SVG document string, each brick in the color
+    of its type in ``rule`` (RuleError for a type the rule lacks)."""
     if not pattern.bricks:
         raise ValueError("cannot render an empty pattern")
-    style = style or RenderStyle()
-    if style.cell_size <= 0:
-        raise ValueError(f"cell_size must be positive, got {style.cell_size}")
-
-    if rule is not None:
-        colors = {t.id: t.color for t in rule.types}
-        order = rule.type_ids
-    else:
-        colors = {}
-        order = tuple(sorted({b.type_id for b in pattern.bricks}))
-    for i, tid in enumerate(order):
-        colors.setdefault(tid, style.palette[i % len(style.palette)])
 
     min_x, min_y, max_x, max_y = pattern.bbox()
-    cs, pad = style.cell_size, style.mortar_width
-    width = (max_x - min_x) * cs + 2 * pad
-    height = (max_y - min_y) * cs + 2 * pad
-
-    lines = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}"'
-             f' height="{_fmt(height)}" viewBox="0 0 {_fmt(width)} {_fmt(height)}">']
-    if style.background:
-        lines.append(f'<rect x="0" y="0" width="{_fmt(width)}"'
-                     f' height="{_fmt(height)}" fill="{style.background}"/>')
+    cs, pad = CELL_SIZE, MORTAR_WIDTH
+    width = _fmt((max_x - min_x) * cs + 2 * pad)
+    height = _fmt((max_y - min_y) * cs + 2 * pad)
+    lines = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}"'
+             f' height="{height}" viewBox="0 0 {width} {height}">']
 
     def size_and_paint(key):
         tid, w, h = key
         return (f' width="{_fmt(w * cs)}" height="{_fmt(h * cs)}"'
-                f' fill="{colors[tid]}" stroke="{style.mortar_color}"'
-                f' stroke-width="{_fmt(style.mortar_width)}"/>')
+                f' fill="{rule.get_type(tid).color}" stroke="{MORTAR_COLOR}"'
+                f' stroke-width="{_fmt(pad)}"/>')
 
     # each distinct x, top edge and (type, size) is formatted once
     head = _Memo(lambda x: f'<rect x="{_fmt((x - min_x) * cs + pad)}" y="')

@@ -12,8 +12,8 @@ from fractions import Fraction
 
 import pytest
 
-from brickwall import (Brick, Pattern, RenderStyle, builtin,
-                       generate_pattern, iterate, parse_pattern, to_svg)
+from brickwall import (Brick, Pattern, RuleError, builtin, generate_pattern,
+                       iterate, parse_pattern, parse_rule, to_svg)
 from brickwall.cli import main
 from brickwall.rules import PALETTE
 
@@ -40,12 +40,12 @@ def run(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def _single():
-    return Pattern("adhoc", 0, None, None, (Brick("A", 0, 0, 1, 1),))
+def _single(type_id="B11"):
+    return Pattern("adhoc", 0, None, None, (Brick(type_id, 0, 0, 1, 1),))
 
 
 def test_svg_single_brick_document():
-    assert to_svg(_single()) == SINGLE_BRICK_SVG
+    assert to_svg(_single(), builtin("sigma3")) == SINGLE_BRICK_SVG
 
 
 def test_svg_brick_count_and_viewbox():
@@ -73,8 +73,7 @@ def test_svg_row_zero_at_bottom():
 
 def test_svg_number_formatting():
     pat = iterate(builtin("sigma3"), "B22", 1)
-    style = RenderStyle(cell_size=10 / 3)  # forces repeating decimals
-    svg = to_svg(pat, style=style, rule=builtin("sigma3"))
+    svg = to_svg(pat, builtin("sigma3"))
     values = NUMBER.findall(svg)
     values += re.search(r'viewBox="([^"]+)"', svg).group(1).split()
     assert len(values) > 10
@@ -82,25 +81,29 @@ def test_svg_number_formatting():
         assert CLEAN_NUMBER.match(v), f"bad number formatting: {v!r}"
 
 
-def test_svg_background_rect():
-    svg = to_svg(_single(), style=RenderStyle(background="#ffffff"))
-    first_rect = svg.splitlines()[1]
-    assert first_rect == '<rect x="0" y="0" width="23" height="23" fill="#ffffff"/>'
-
-
-def test_svg_palette_fallback_without_rule():
+def test_svg_fills_are_rule_colors_in_wall_order():
+    # B is declared first without a color, so it takes the first palette
+    # color; A declares its own
+    rule = parse_rule(
+        "rule paint\nengine geometric\nexpansion 2 1\n"
+        "brick B 1 1\nbrick A 1 1 color #123abc\n"
+        "image B { B @ 0 0 ; A @ 1 0 }\nimage A { A @ 0 0 ; B @ 1 0 }\nend\n")
     pat = Pattern("adhoc", 0, None, None,
-                  (Brick("B", 2, 0, 1, 1), Brick("A", 0, 0, 2, 1)))
-    svg = to_svg(pat)
-    fills = re.findall(r'fill="([^"]+)"', svg)
-    assert fills == [PALETTE[0], PALETTE[1]]  # sorted type order: A then B
+                  (Brick("A", 2, 0, 1, 1), Brick("B", 0, 0, 1, 1),
+                   Brick("B", 1, 0, 1, 1)))
+    fills = re.findall(r'fill="([^"]+)"', to_svg(pat, rule))
+    assert fills == [PALETTE[0], PALETTE[0], "#123abc"]
+    sigma3 = builtin("sigma3")
+    wall = iterate(sigma3, "B22", 2)
+    assert re.findall(r'fill="([^"]+)"', to_svg(wall, sigma3)) == \
+        [sigma3.get_type(b.type_id).color for b in wall.bricks]
 
 
 def test_svg_errors():
     with pytest.raises(ValueError):
-        to_svg(Pattern("adhoc", 0, None, None, ()))
-    with pytest.raises(ValueError):
-        to_svg(_single(), style=RenderStyle(cell_size=0))
+        to_svg(Pattern("adhoc", 0, None, None, ()), builtin("sigma3"))
+    with pytest.raises(RuleError, match="unknown brick type 'A' in rule 'sigma3'"):
+        to_svg(_single("A"), builtin("sigma3"))
 
 
 def test_cli_generate_svg(tmp_path):
@@ -192,31 +195,26 @@ def test_cli_analyze_frozen_digests(args, text_sha, json_sha):
         assert hashlib.sha256(stdout.encode()).hexdigest() == expected
 
 
-# sha256 of to_svg output, frozen before to_svg made one pass over the
-# sorted wall; the pass must write the same bytes
+# sha256 of to_svg output; sigma3 and ptm_skewed were frozen before to_svg
+# made one pass over the sorted wall, and the pass must write the same bytes
 SVG_DIGESTS = [
-    ("sigma3", "B22", 5, None, {},
+    ("sigma3", "B22", 5, None,
      "d980296dbde2c5dc15704bbce25f8307460fb8b2ca357d4cee16954dea6c9d54"),
-    ("ptm_skewed", "1", 6, None, {},
+    ("ptm_skewed", "1", 6, None,
      "4c48bbdbf56726dab4aa4f2b455ae3e389abdf90a6fa5ea1ee6a417bfc16032c"),
     ("ptm", "0", 4, None,
-     {"cell_size": 7.5, "mortar_width": 0.25, "background": "#fff"},
-     "933e5842b5bf25436982c9bd04f7fe509298d575e732ede0ef0119afa0d5db23"),
-    ("random_pp", "B22", 4, 1, None,  # no rule: palette colors
-     "c8f41edbc4696c481023c73b0912ba38c30e4b61b8a82a0b13451db6f3da365c"),
+     "ae36cc05e483c2c5361c78db9a3a038016a0cc17a1ce6c2d9f955d62d4246a99"),
+    ("random_pp", "B22", 4, 1,
+     "f72133539efb9eaf57c5984fa0888e21b8d526bfcab470b5a773ab97ce235310"),
 ]
 
 
-@pytest.mark.parametrize("name,brick,n,rng_seed,style,sha", SVG_DIGESTS)
-def test_to_svg_frozen_digests(name, brick, n, rng_seed, style, sha):
+@pytest.mark.parametrize("name,brick,n,rng_seed,sha", SVG_DIGESTS)
+def test_to_svg_frozen_digests(name, brick, n, rng_seed, sha):
     rule = builtin(name)
     if rule.is_parametric:
         rule = rule.bind(Fraction(1, 3))
-    pattern = generate_pattern(rule, brick, n, rng_seed)
-    if style is None:
-        svg = to_svg(pattern)
-    else:
-        svg = to_svg(pattern, style=RenderStyle(**style), rule=rule)
+    svg = to_svg(generate_pattern(rule, brick, n, rng_seed), rule)
     assert hashlib.sha256(svg.encode()).hexdigest() == sha
 
 
@@ -312,6 +310,11 @@ def test_cli_validate_swap_rule(tmp_path):
                     " A @ 0 1 ; A @ 1 1 ; A @ 2 1 ; A @ 3 1 }\nend\n")
     assert run("validate", "--rule", str(swap)) == \
         (0, "ok: rule 'swap' (geometric, 2 types)\n", "")
+    # eigenvalues +-4: no unique dominant eigenvector, a clean diagnostic
+    code, stdout, stderr = run("spectrum", "--rule", str(swap))
+    assert (code, stdout) == (1, "")
+    assert stderr.startswith("error: rule 'swap': ") and stderr.count("\n") == 1
+    assert "no unique dominant eigenvector" in stderr
 
 
 def test_cli_validate_diagnostics(tmp_path):

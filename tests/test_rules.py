@@ -90,6 +90,11 @@ def test_syntax_error_carries_position():
     assert "line 4" in str(exc.value)
 
 
+GEO = "rule x\nengine geometric\nexpansion 2 2\nbrick A 1 1\n"
+QUAD = "image A { A @ 0 0 ; A @ 1 0 ; A @ 0 1 ; A @ 1 1 }\n"
+BLOCK = "rule x\nengine block skew 0\nexpansion 2 2\nbrick 0 1 1\n"
+
+
 @pytest.mark.parametrize("source,fragment", [
     ("rule x\nengine geometric\nexpansion 2 2\nbrick A 0 1\nend\n",
      "non-positive dimension"),
@@ -104,6 +109,40 @@ def test_syntax_error_carries_position():
      "missing 'end'"),
     ("rule x\nengine turbo\nexpansion 2 2\nbrick A 1 1\nend\n",
      "unknown engine"),
+    (GEO + QUAD + "end\nbrick B 1 1\n", "statement after 'end'"),
+    ("rule x\nrule y\nengine geometric\nexpansion 2 2\nbrick A 1 1\n" + QUAD
+     + "end\n", "duplicate 'rule' statement"),
+    ("rule x\nengine geometric\nexpansion 0 2\nbrick A 1 1\n" + QUAD + "end\n",
+     "non-positive expansion"),
+    ("rule x\nengine geometric\nexpansion 2 2\nbrick A 1\nend\n",
+     "expected height"),
+    (GEO + "image A A @ 0 0 }\nend\n", "expected '{', got 'A'"),
+    (GEO + "image A { A @ 0 0 , A @ 1 0 }\nend\n", "expected ';' or '}', got ','"),
+    ("rule x y\nengine geometric\nexpansion 2 2\nbrick A 1 1\n" + QUAD + "end\n",
+     "trailing token 'y'"),
+    (GEO + "image A prob half { A @ 0 0 }\nend\n", "bad probability 'half'"),
+    (GEO + QUAD + "wall A\nend\n", "unknown statement 'wall'"),
+    (BLOCK + "block 0 { row: 0 0 ; row: 0 0 }\nblock 0 { row: 0 0 }\nend\n",
+     "duplicate block image for '0'"),
+    (BLOCK + "block 0 { }\nend\n", "empty block image for '0'"),
+    ("engine geometric\nexpansion 2 2\nbrick A 1 1\n" + QUAD + "end\n",
+     "missing 'rule' statement"),
+    ("rule x\nexpansion 2 2\nbrick A 1 1\n" + QUAD + "end\n",
+     "missing 'engine' statement"),
+    ("rule x\nengine geometric\nbrick A 1 1\n" + QUAD + "end\n",
+     "missing 'expansion' statement"),
+    ("rule x\nengine geometric\nexpansion 2 2\nend\n", "no brick types declared"),
+    (GEO + QUAD + "block A { row: A A ; row: A A }\nend\n",
+     "block statements not allowed in a geometric rule"),
+    (BLOCK + "block 0 { row: 0 0 ; row: 0 0 }\nimage 0 { 0 @ 0 0 }\nend\n",
+     "image statements not allowed in a block rule"),
+    (GEO + QUAD + "image B { A @ 0 0 }\nend\n", "image for unknown type 'B'"),
+    (BLOCK + "block 0 { row: 0 0 ; row: 0 0 }\nblock 1 { row: 0 0 ; row: 0 0 }\n"
+     "end\n", "block image for unknown letter '1'"),
+    (BLOCK + "block 0 { row: 0 1 ; row: 0 0 }\nend\n",
+     "unknown letter reference '1' in block of '0'"),
+    (BLOCK + "brick 1 1 1\nblock 0 { row: 0 1 ; row: 1 0 }\nend\n",
+     "no block image declared for '1'"),
 ])
 def test_structural_errors(source, fragment):
     with pytest.raises(RuleSyntaxError) as exc:
@@ -121,6 +160,11 @@ def test_probability_sum_diagnostic():
     assert "probabilities sum to 2/3" in str(exc.value)
     diags = validate_rule(parse_rule(source, validate=False))
     assert any("probabilities sum to 2/3" in d for d in diags)
+    wide = (GEO + "image A prob 3/2 { A @ 0 0 ; A @ 1 0 ; A @ 0 1 ; A @ 1 1 }\n"
+            "image A prob -1/2 { A @ 0 0 ; A @ 1 0 ; A @ 0 1 ; A @ 1 1 }\nend\n")
+    diags = validate_rule(parse_rule(wide, validate=False))
+    assert "A option 0: probability 3/2 outside [0, 1]" in diags
+    assert "A option 1: probability -1/2 outside [0, 1]" in diags
 
 
 def test_area_identity_rejects_identity_map():
@@ -144,6 +188,9 @@ def test_block_shape_diagnostics():
               "block 0 { row: 0 0 ; row: 0 0 ; row: 0 0 }\nend\n")
     diags = validate_rule(parse_rule(source, validate=False))
     assert any("3 rows" in d for d in diags)
+    ragged = BLOCK + "block 0 { row: 0 0 ; row: 0 }\nend\n"
+    assert "0: block row 1 has 1 letters, expected 2" in \
+        validate_rule(parse_rule(ragged, validate=False))
     tall = ("rule x\nengine block skew 0\nexpansion 2 2\nbrick 0 2 2\n"
             "block 0 { row: 0 0 ; row: 0 0 }\nend\n")
     assert any("height 1" in d for d in validate_rule(parse_rule(tall, validate=False)))
