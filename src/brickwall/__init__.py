@@ -12,12 +12,12 @@ from .generate import (Brick, LetterGrid, OverlapError, Pattern,
                        check_no_overlap, format_pattern, generate_pattern,
                        iterate, iterate_block, overlap_certificate,
                        parse_pattern, ptm_oracle, render_grid, substitute_once)
-from .joints import (Joint, JointReport, Prop2Verdict, check_prop2,
+from .joints import (JointReport, Prop2Verdict, check_prop2,
                      crossing_options, empirical_frequencies, has_crossing,
                      prop2_bound, report_with_crossings, v_max_at,
                      vertical_joints)
 from .rng import SplitMix64, derive_seed
-from .rules import (BlockImage, BrickType, ImageOption, Placement, Prob,
+from .rules import (BrickType, ImageOption, Placement, Prob,
                     RuleError, RuleSyntaxError, RuleValidationError,
                     SubstitutionRule, parse_rule, serialize_rule, validate_rule)
 from .spectral import (SubstitutionMatrix, assert_area_eigenvector,
@@ -29,8 +29,8 @@ from .svg import to_svg
 __version__ = "0.1.0"
 
 __all__ = [
-    "BUILTIN_SOURCES", "BlockImage", "Brick", "BrickType", "ImageOption",
-    "Joint", "JointReport", "LetterGrid", "OverlapError", "Pattern",
+    "BUILTIN_SOURCES", "Brick", "BrickType", "ImageOption",
+    "JointReport", "LetterGrid", "OverlapError", "Pattern",
     "Placement", "Prob", "Prop2Verdict", "RuleError",
     "RuleSyntaxError", "RuleValidationError", "SplitMix64",
     "SubstitutionMatrix", "SubstitutionRule", "VmaxStats",

@@ -2,9 +2,9 @@
 
 Subcommands: generate, analyze, validate, spectrum, count, sample.
 Exit codes: 0 ok, 1 rule diagnostics (invalid rule, overlap), 2 usage and
-I/O errors (unknown rule or brick, malformed flags, unreadable --rule,
-unwritable --out, stdout closed by its reader).  Error paths never write
-to --out.
+I/O errors (unknown rule or brick, malformed flags, a count -n too large
+to print, unreadable --rule, unwritable --out, stdout closed by its
+reader).  Error paths never write to --out.
 """
 
 from __future__ import annotations
@@ -171,14 +171,33 @@ def _exact_str(factors) -> str:
         return " * ".join(f"{p}^{e}" for p, e in sorted(factors.items()))
 
 
+def _count_str(rule, seed_type, n) -> str:
+    """count_bricks in decimal, or exit 2 when it is too long to print.  By
+    the area identity a level-n wall has at least seed area * (lambda1 *
+    lambda2)^n / largest brick area bricks: over the limit, no counting."""
+    count_bricks(rule, seed_type, 0)  # an uncountable rule exits 1 at any -n
+    limit = sys.get_int_max_str_digits()
+    too_long = CliError(2, f"-n {n}: the brick count has more than {limit}"
+                           " digits (the interpreter's int-to-str limit)")
+    largest = max(t.area for t in rule.types)
+    if limit and (math.log10(rule.get_type(seed_type).area / largest)
+                  + n * math.log10(rule.expansion)) >= limit:
+        raise too_long
+    count = count_bricks(rule, seed_type, n)
+    try:
+        return str(count)
+    except ValueError:  # the bound fell short of the count
+        raise too_long from None
+
+
 def cmd_count(args) -> int:
     rule = _load_rule(args.rule)
     _check_seed(rule, args.seed_brick)
-    bricks = count_bricks(rule, args.seed_brick, args.n)
+    bricks = _count_str(rule, args.seed_brick, args.n)
     realizations = _exact_str(realization_factors(rule, args.seed_brick, args.n))
     if args.json:
-        print(json.dumps({"bricks": str(bricks),
-                          "realizations": realizations}, indent=2))
+        print(json.dumps({"bricks": bricks, "realizations": realizations},
+                         indent=2))
     else:
         print(f"bricks: {bricks}")
         print(f"realizations: {realizations}")

@@ -90,7 +90,7 @@ class LetterGrid:
 
     rows: Tuple[Tuple[str, ...], ...]
     level: int
-    seed_letter: Optional[str] = None
+    seed_letter: str
 
 
 _ORDER = attrgetter("y", "x", "type_id")  # wall order: draws and outputs
@@ -275,7 +275,7 @@ def _walls(rule, seed_type, n, rng_seed):
         rows = [[seed_type]]
         for level in range(n + 1):
             if level:  # row r of every letter's image, side by side
-                rows = [[c for letter in row for c in rule.blocks[letter].cells[r]]
+                rows = [[c for letter in row for c in rule.blocks[letter][r]]
                         for row in rows for r in range(rule.lambda2)]
             yield LetterGrid(tuple(map(tuple, rows)), level, seed_type)
         return

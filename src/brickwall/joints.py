@@ -8,39 +8,30 @@ edge intervals merge: mortar interrupted by nothing is continuous mortar.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import repeat
-from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
+from operator import sub
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from .generate import Brick, Pattern, generate_pattern, levels
 from .rules import RuleError, SubstitutionRule
 
 
-class Joint(NamedTuple):
-    """Mortar on the line x from y0 to y1; equal to the plain tuple (x, y0,
-    y1), whose order is vertical_joints' order, not the wall order."""
-
-    x: int
-    y0: int
-    y1: int
-
-    @property
-    def length(self) -> int:
-        return self.y1 - self.y0
-
-
 @dataclass(frozen=True)
 class JointReport:
     v_max: int
-    joints: Tuple[Joint, ...]
-    pattern: Optional[Pattern] = None
+    # (x, y0, y1): mortar on the line x from y0 to y1; by x, then upward
+    joints: Tuple[Tuple[int, int, int], ...]
+    pattern: Pattern
     crossings: Optional[Mapping[str, bool]] = None
 
     def to_json(self) -> dict:
         return {
             "v_max": self.v_max,
-            "joints": [j._asdict() for j in self.joints],
+            "joints": [{"x": x, "y0": y0, "y1": y1}
+                       for x, y0, y1 in self.joints],
             "crossings": dict(self.crossings) if self.crossings else {},
         }
 
@@ -69,12 +60,14 @@ def vertical_joints(pattern: Pattern) -> JointReport:
     length.  Abscissas with no bricks strictly left or strictly right of
     them (the pattern's outline) carry no joints."""
     joints = []
+    v_max = 0
     # the least and the greatest abscissa are the outline
     runs = _edge_segments(pattern.bricks)
     for x in sorted(runs)[1:-1]:
         run = runs[x]
-        joints += map(Joint, repeat(x), run[::2], run[1::2])
-    v_max = max((j.length for j in joints), default=0)
+        y0s, y1s = run[::2], run[1::2]
+        joints += zip(repeat(x), y0s, y1s)
+        v_max = max(v_max, max(map(sub, y1s, y0s)))
     return JointReport(v_max, tuple(joints), pattern)
 
 
@@ -198,19 +191,15 @@ def analyze(rule: SubstitutionRule, seed_type: str, n: int,
                                 measured, respected)
 
 
-def empirical_frequencies(pattern: Pattern,
-                          rule: Optional[SubstitutionRule] = None
+def empirical_frequencies(pattern: Pattern, rule: SubstitutionRule
                           ) -> Dict[str, Fraction]:
-    """Brick-count share per type.  Pass the rule to fix the type order and
-    include zero-count types."""
+    """Brick-count share per type, in the rule's type order, zero-count
+    types included."""
     if not pattern.bricks:
         raise ValueError("empty pattern has no frequencies")
-    counts: Dict[str, int] = {}
-    for b in pattern.bricks:
-        counts[b.type_id] = counts.get(b.type_id, 0) + 1
+    counts = Counter(b.type_id for b in pattern.bricks)
     total = len(pattern.bricks)
-    order = rule.type_ids if rule is not None else tuple(sorted(counts))
-    return {tid: Fraction(counts.get(tid, 0), total) for tid in order}
+    return {tid: Fraction(counts[tid], total) for tid in rule.type_ids}
 
 
 def report_with_crossings(report: JointReport, rule: SubstitutionRule) -> JointReport:

@@ -103,12 +103,6 @@ class ImageOption:
 
 
 @dataclass(frozen=True)
-class BlockImage:
-    # rows ordered bottom-to-top, lambda2 rows of lambda1 letter ids
-    cells: Tuple[Tuple[str, ...], ...]
-
-
-@dataclass(frozen=True)
 class SubstitutionRule:
     name: str
     engine: str  # "geometric" or "block"
@@ -117,7 +111,8 @@ class SubstitutionRule:
     skew: int
     types: Tuple[BrickType, ...]
     images: Mapping[str, Tuple[ImageOption, ...]] = field(default_factory=dict)
-    blocks: Mapping[str, BlockImage] = field(default_factory=dict)
+    # block image per letter: lambda2 rows (bottom-to-top) of lambda1 ids
+    blocks: Mapping[str, Tuple[Tuple[str, ...], ...]] = field(default_factory=dict)
     # the rule bind() made this one from; it shares the overlap certificate
     # and the growth bounds
     unbound: Optional["SubstitutionRule"] = field(default=None, repr=False,
@@ -240,10 +235,10 @@ def validate_rule(rule: SubstitutionRule) -> List[str]:
             if img is None:
                 diags.append(f"{t.id}: no block image")
                 continue
-            if len(img.cells) != rule.lambda2:
-                diags.append(f"{t.id}: block image has {len(img.cells)} rows,"
+            if len(img) != rule.lambda2:
+                diags.append(f"{t.id}: block image has {len(img)} rows,"
                              f" expected {rule.lambda2}")
-            for r, row in enumerate(img.cells):
+            for r, row in enumerate(img):
                 if len(row) != rule.lambda1:
                     diags.append(f"{t.id}: block row {r} has {len(row)} letters,"
                                  f" expected {rule.lambda1}")
@@ -264,6 +259,7 @@ def validate_rule(rule: SubstitutionRule) -> List[str]:
 # One statement per line; '#' starts a comment.
 
 _TOKEN_RE = re.compile(r"[{};@]|[^\s{};@]+")
+_COLOR_RE = re.compile(r"#[0-9a-fA-F]{6}")
 
 
 def _strip_comment(line: str) -> str:
@@ -348,7 +344,7 @@ def parse_rule(text: str, validate: bool = True) -> SubstitutionRule:
     lambda1 = lambda2 = None
     types: List[BrickType] = []
     images: Dict[str, List[ImageOption]] = {}
-    blocks: Dict[str, BlockImage] = {}
+    blocks: Dict[str, Tuple[Tuple[str, ...], ...]] = {}
     ended = False
     last_line = 0
 
@@ -397,6 +393,8 @@ def parse_rule(text: str, validate: bool = True) -> SubstitutionRule:
             if ln.peek() == "color":
                 ln.take()
                 color = ln.take("color value")
+                if not _COLOR_RE.fullmatch(color):
+                    ln.error(f"bad color '{color}' (want #rrggbb)")
             ln.done()
             if color is None:
                 color = PALETTE[len(types) % len(PALETTE)]
@@ -434,25 +432,18 @@ def parse_rule(text: str, validate: bool = True) -> SubstitutionRule:
             row: List[str] = []
             while True:
                 tok = ln.take("row or '}'")
+                if tok not in ("}", ";", "row:"):
+                    row.append(tok)
+                    continue
+                if row:
+                    rows.append(tuple(row))
+                    row = []
                 if tok == "}":
-                    if row:
-                        rows.append(tuple(row))
                     break
-                if tok == ";":
-                    if row:
-                        rows.append(tuple(row))
-                        row = []
-                    continue
-                if tok == "row:":
-                    if row:
-                        rows.append(tuple(row))
-                        row = []
-                    continue
-                row.append(tok)
             ln.done()
             if not rows:
                 ln.error(f"empty block image for '{tid}'")
-            blocks[tid] = BlockImage(tuple(rows))
+            blocks[tid] = tuple(rows)
         elif head == "end":
             ln.done()
             ended = True
@@ -493,7 +484,7 @@ def parse_rule(text: str, validate: bool = True) -> SubstitutionRule:
         for tid, img in blocks.items():
             if tid not in ids:
                 fail(f"block image for unknown letter '{tid}'")
-            for row in img.cells:
+            for row in img:
                 for ref in row:
                     if ref not in ids:
                         fail(f"unknown letter reference '{ref}' in block of '{tid}'")
@@ -533,8 +524,7 @@ def serialize_rule(rule: SubstitutionRule) -> str:
                     out.append(f"image {t.id} prob {opt.probability} {{ {body} }}")
     else:
         for t in rule.types:
-            img = rule.blocks[t.id]
-            body = " ; ".join("row: " + " ".join(row) for row in img.cells)
+            body = " ; ".join("row: " + " ".join(row) for row in rule.blocks[t.id])
             out.append(f"block {t.id} {{ {body} }}")
     out.append("end")
     return "\n".join(out) + "\n"

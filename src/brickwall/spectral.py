@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-import numpy as np
-
 from .rules import RuleError, SubstitutionRule
 
 _TOL = 1e-9
@@ -55,7 +53,7 @@ def _placement_counts(rule: SubstitutionRule) -> List[List[List[int]]]:
         return row
 
     if rule.engine == "block":
-        return [[counts(ref for cells in rule.blocks[tid].cells for ref in cells)]
+        return [[counts(ref for row in rule.blocks[tid] for ref in row)]
                 for tid in rule.type_ids]
     return [[counts(pl.type_id for pl in opt.placements) for opt in rule.images[tid]]
             for tid in rule.type_ids]
@@ -89,7 +87,8 @@ def assert_area_eigenvector(M: SubstitutionMatrix) -> None:
                              f" {M.type_order[i]}: {lhs} != {rhs}")
 
 
-def _power_iteration(a: np.ndarray):
+def _power_iteration(a):
+    import numpy as np  # imported here, so only the float spectrum pays for it
     x = np.ones(a.shape[0])
     for _ in range(_MAX_ITER):
         y = a @ x
@@ -104,7 +103,8 @@ def _power_iteration(a: np.ndarray):
                     f" (power iteration did not converge in {_MAX_ITER} steps)")
 
 
-def _as_float_array(M: SubstitutionMatrix) -> np.ndarray:
+def _as_float_array(M: SubstitutionMatrix):
+    import numpy as np
     return np.array([[float(e) for e in row] for row in M.entries])
 
 
@@ -120,7 +120,7 @@ def brick_frequencies(M: SubstitutionMatrix) -> Tuple[float, ...]:
     """Normalized left eigenvector for the dominant eigenvalue: the
     asymptotic share of each brick type."""
     _, vec = _power_iteration(_as_float_array(M).T)
-    total = float(np.sum(vec))
+    total = float(vec.sum())
     if total == 0.0:
         raise RuntimeError("left eigenvector collapsed to zero")
     return tuple(float(v) / total for v in vec)

@@ -55,8 +55,8 @@ def test_c03_skew_keeps_joints_short():
     bounded = all(v <= 2 for seq in vals.values() for v in seq)
     flat = builtin("ptm")
     pat = generate_pattern(flat, "0", 3)
-    full = [j for j in vertical_joints(pat).joints
-            if j.y0 == 0 and j.y1 == 8]
+    full = [(x, y0, y1) for x, y0, y1 in vertical_joints(pat).joints
+            if y0 == 0 and y1 == 8]
     ok = bounded and vertical_joints(pat).v_max == 8 and full
     _report(3, ok,
             f"skewed parity wall v_max by seed {vals} all <= 2; "
@@ -197,8 +197,7 @@ def test_c12_joints_match_raster_oracle():
             for n in range(5):
                 for s in seeds:
                     pat = generate_pattern(rule, seed_type, n, rng_seed=s)
-                    got = sorted((j.x, j.y0, j.y1)
-                                 for j in vertical_joints(pat).joints)
+                    got = sorted(vertical_joints(pat).joints)
                     assert got == rasterized_joints(pat), \
                         f"{name} {seed_type} n={n} seed={s}"
                     compared += 1

@@ -258,6 +258,12 @@ def test_cli_count_beyond_the_digit_limit():
     assert code == 0
     assert json.loads(stdout) == {"bricks": "98304",
                                   "realizations": "2^32767"}
+    # a rule that cannot be counted says so at any depth, not that -n is
+    # too large
+    code, stdout, stderr = run("count", "--rule", "random_pp", "--seed-brick",
+                               "B22", "-n", "7200")
+    assert code == 1 and stdout == ""
+    assert "counting is not defined" in stderr
 
 
 def test_cli_brick_budget_exits_1(tmp_path):
@@ -360,6 +366,17 @@ def test_cli_analyze_invalid_rule_file(tmp_path):
     (("validate", "--rule", "."), "cannot read rule file '.'"),
     (("analyze", "--rule", ".", "--seed-brick", "A", "-n", "1"),
      "cannot read rule file '.'"),
+    # refused from the area bound before counting, so -n 1000000 returns
+    # at once; at -n 7142 the bound falls just short and str() refuses
+    (("count", "--rule", "sigma3", "--seed-brick", "B22", "-n", "7200"),
+     f"-n 7200: the brick count has more than {sys.get_int_max_str_digits()}"
+     " digits"),
+    (("count", "--rule", "sigma3", "--seed-brick", "B22", "-n", "1000000"),
+     f"-n 1000000: the brick count has more than"
+     f" {sys.get_int_max_str_digits()} digits"),
+    (("count", "--rule", "sigma3", "--seed-brick", "B22", "-n", "7142"),
+     f"-n 7142: the brick count has more than {sys.get_int_max_str_digits()}"
+     " digits"),
 ])
 def test_cli_usage_errors_exit_2(argv, fragment):
     code, stdout, stderr = run(*argv)
@@ -397,6 +414,15 @@ def test_cli_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert res.returncode == 0
     assert res.stdout.startswith("ok: rule 'ptm'")
+
+
+def test_cli_import_leaves_numpy_out():
+    # only the float spectrum imports numpy, inside spectral
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, brickwall.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, check=True)
+    assert res.stdout == "False\n"
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"])

@@ -51,8 +51,8 @@ def test_block_builtins():
     assert rule.skew == 1
     assert builtin("ptm").skew == 0
     # rows are stored bottom-to-top
-    assert rule.blocks["0"].cells == (("0", "1"), ("1", "0"))
-    assert rule.blocks["1"].cells == (("1", "0"), ("0", "1"))
+    assert rule.blocks["0"] == (("0", "1"), ("1", "0"))
+    assert rule.blocks["1"] == (("1", "0"), ("0", "1"))
     widths = {t.id: t.width for t in rule.types}
     assert widths == {"0": 2, "1": 3}
 
@@ -143,6 +143,11 @@ BLOCK = "rule x\nengine block skew 0\nexpansion 2 2\nbrick 0 1 1\n"
      "unknown letter reference '1' in block of '0'"),
     (BLOCK + "brick 1 1 1\nblock 0 { row: 0 1 ; row: 1 0 }\nend\n",
      "no block image declared for '1'"),
+    ("rule x\nengine geometric\nexpansion 2 2\nbrick A 1 1 color red\n"
+     + QUAD + "end\n", "line 4, col 19: bad color 'red' (want #rrggbb)"),
+    ("rule x\nengine geometric\nexpansion 2 2\n"
+     "brick A 1 1 color \"/><script>alert(1)</script><x\n" + QUAD + "end\n",
+     "line 4, col 19: bad color '\"/><script>alert(1)</script><x'"),
 ])
 def test_structural_errors(source, fragment):
     with pytest.raises(RuleSyntaxError) as exc:
