@@ -1,9 +1,9 @@
 """Pattern generation: iterate geometric rules, grow and render block grids.
 
 Level-by-level (breadth-first) generation so a single substitution step is
-a first-class, testable operation.  Random rules consume exactly one PRNG
-draw per brick, in lexicographic (y, x, type_id) order, which pins down the
-whole stream for reproducibility.
+a first-class, testable operation.  Random rules consume one PRNG draw per
+brick whose type has more than one option, in lexicographic (y, x, type_id)
+order, which pins down the whole stream for reproducibility.
 """
 
 from __future__ import annotations
@@ -11,8 +11,7 @@ from __future__ import annotations
 import bisect
 import re
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import pairwise
+from itertools import accumulate, pairwise
 from operator import attrgetter
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
@@ -94,6 +93,7 @@ class LetterGrid:
 
 
 _ORDER = attrgetter("y", "x", "type_id")  # wall order: draws and outputs
+_new = tuple.__new__  # _new(Brick, fields) skips Brick's argument parsing
 
 
 def _in_order(bricks) -> bool:
@@ -206,29 +206,33 @@ def overlap_certificate(rule: SubstitutionRule) -> OverlapCertificate:
     return OverlapCertificate("certified", "no wall of any seed overlaps")
 
 
-def _choose_option(options, rng):
-    if len(options) == 1:
-        return options[0]
-    draw = rng.next_u64()
-    # compare draw/2^64 against cumulative probabilities, exactly
-    acc = Fraction(0)
-    for opt in options[:-1]:
-        acc += opt.probability.value
-        if draw * acc.denominator < acc.numerator << 64:
-            return opt
-    return options[-1]
+def _substitution_table(rule: SubstitutionRule):
+    """Per type, the draw thresholds ceil(P_k * 2^64) of its options k but
+    the last, P_k the probability of options 0..k, and per option its
+    children (type_id, dx, dy, width, height).  As d < ceil(P_k * 2^64) iff
+    d / 2^64 < P_k, the first option whose threshold exceeds d is exact."""
+    sizes = {t.id: (t.width, t.height) for t in rule.types}
+    table = {}
+    for tid, options in rule.images.items():
+        cumulative = accumulate(opt.probability.value for opt in options[:-1])
+        table[tid] = (
+            tuple(-((-P.numerator << 64) // P.denominator) for P in cumulative),
+            tuple(tuple((pl.type_id, pl.dx, pl.dy, *sizes[pl.type_id])
+                        for pl in opt.placements) for opt in options))
+    return table
 
 
 def _substitute_bricks(rule: SubstitutionRule, bricks, rng) -> Tuple[Brick, ...]:
     # draws follow the order of bricks: pass a Pattern's, which keeps _ORDER
-    sizes = {t.id: (t.width, t.height) for t in rule.types}
+    table, l1, l2 = rule.substitution_table, rule.lambda1, rule.lambda2
     out = []
-    for b in bricks:
-        opt = _choose_option(rule.images[b.type_id], rng)
-        ax, ay = rule.lambda1 * b.x, rule.lambda2 * b.y
-        for pl in opt.placements:
-            w, h = sizes[pl.type_id]
-            out.append(Brick(pl.type_id, ax + pl.dx, ay + pl.dy, w, h))
+    for t, x, y, _, _ in bricks:
+        thresholds, options = table[t]
+        children = (options[bisect.bisect_right(thresholds, rng.next_u64())]
+                    if thresholds else options[0])
+        ax, ay = l1 * x, l2 * y
+        for c, dx, dy, w, h in children:
+            out.append(_new(Brick, (c, ax + dx, ay + dy, w, h)))
     return tuple(out)
 
 
@@ -345,7 +349,7 @@ def render_grid(rule: SubstitutionRule, grid: LetterGrid) -> Pattern:
         x = rule.skew * r
         for letter in row:
             w = widths[letter]
-            bricks.append(Brick(letter, x, r, w, 1))
+            bricks.append(_new(Brick, (letter, x, r, w, 1)))
             x += w
     return Pattern(rule.name, grid.level, grid.seed_letter, None, tuple(bricks))
 

@@ -153,6 +153,12 @@ class SubstitutionRule:
         from .spectral import growth_bounds  # spectral imports rules
         return growth_bounds(self)
 
+    @cached_property
+    def substitution_table(self):
+        """generate._substitution_table of this rule, computed on first use."""
+        from .generate import _substitution_table  # generate imports rules
+        return _substitution_table(self)
+
     def get_type(self, type_id: str) -> BrickType:
         for t in self.types:
             if t.id == type_id:

@@ -171,19 +171,32 @@ def _seed_vector(rule, seed_type):
     return [1 if tid == seed_type else 0 for tid in order]
 
 
-def _vec_mat(v, rows):
-    return [sum(map(operator.mul, v, column)) for column in zip(*rows)]
+def _level_counts(rule: SubstitutionRule, rows, seed_type: str, n: int):
+    """The seed's count vector v_n after n steps of rows, and the sum of v_m
+    over m < n.  Under unit expansion the area is fixed, so the vectors
+    repeat: at the first repeat, all whole periods left are skipped."""
+    v = _seed_vector(rule, seed_type)
+    total, m, seen = [0] * len(v), 0, {}
+    while m < n:
+        first, before = seen.get(tuple(v), (m, total))
+        if first < m:  # the vectors of levels first..m-1 repeat from here
+            k = (n - m) // (m - first)
+            total = [s + k * (s - b) for s, b in zip(total, before)]
+            m, seen = m + k * (m - first), {}  # fewer steps left than a period
+            continue
+        if rule.expansion == 1:  # vector -> (its first level, total)
+            seen[tuple(v)] = (m, total)
+        total = list(map(operator.add, total, v))
+        v = [sum(map(operator.mul, v, column)) for column in zip(*rows)]
+        m += 1
+    return v, total
 
 
 def count_bricks(rule: SubstitutionRule, seed_type: str, n: int) -> int:
     """Exact number of bricks in the n-th image of the seed."""
     if n < 0:
         raise ValueError("count_bricks needs n >= 0")
-    rows, _ = _count_vectors(rule)
-    v = _seed_vector(rule, seed_type)
-    for _ in range(n):
-        v = _vec_mat(v, rows)
-    return sum(v)
+    return sum(_level_counts(rule, _count_vectors(rule)[0], seed_type, n)[0])
 
 
 def growth_bounds(rule: SubstitutionRule
@@ -210,9 +223,7 @@ def max_bricks(rule: SubstitutionRule, seed_type: str, n: int) -> int:
     if rule.engine == "block":
         return rule.expansion ** n
     rows, growth, min_area = rule.growth_bounds
-    v = _seed_vector(rule, seed_type)
-    for _ in range(n):
-        v = _vec_mat(v, rows)
+    v, _ = _level_counts(rule, rows, seed_type, n)
     area_bound = (seed.area * growth.numerator ** n
                   // (growth.denominator ** n * min_area))
     return min(sum(v), area_bound)
@@ -236,14 +247,11 @@ def realization_factors(rule: SubstitutionRule, seed_type: str,
     if n < 0:
         raise ValueError("count_realizations needs n >= 0")
     rows, ks = _count_vectors(rule)
-    per_type = [_prime_factors(k) for k in ks]
-    v = _seed_vector(rule, seed_type)
+    _, total = _level_counts(rule, rows, seed_type, n)
     exponents: Dict[int, int] = {}
-    for _ in range(n):
-        for factors, count in zip(per_type, v):
-            for p, e in factors.items():
-                exponents[p] = exponents.get(p, 0) + e * count
-        v = _vec_mat(v, rows)
+    for k, count in zip(ks if n else (), total):  # N_m(t) summed over m < n
+        for p, e in _prime_factors(k).items():
+            exponents[p] = exponents.get(p, 0) + e * count
     return exponents
 
 

@@ -12,9 +12,9 @@ from brickwall import (Brick, OverlapError, Pattern, RuleError,
                        SplitMix64, builtin, check_no_overlap, count_bricks,
                        format_pattern, generate_pattern, iterate,
                        iterate_block, overlap_certificate, parse_pattern,
-                       parse_rule, ptm_oracle, render_grid, substitute_once,
-                       to_svg, vertical_joints)
-from brickwall.generate import MAX_BRICKS
+                       parse_rule, ptm_oracle, render_grid, sample_vmax,
+                       substitute_once, to_svg, vertical_joints)
+from brickwall.generate import MAX_BRICKS, levels
 
 SIGMA3_B22_IMAGE = {
     ("B21", -1, 0), ("B22", 1, 0), ("B11", 0, 1), ("B11", 3, 1),
@@ -104,6 +104,104 @@ def test_frozen_random_pattern_digest():
     digest = hashlib.sha256(format_pattern(pat).encode()).hexdigest()
     assert len(pat.bricks) == 24
     assert digest == GOLDEN_RSS_SHA
+
+
+# a one-option type beside a two-option one, bound at p = 1/3
+MIXED_RULE = (
+    "rule mixed\nengine geometric\nexpansion 2 2\nbrick B12 1 2\nbrick B22 2 2\n"
+    "image B12 { B22 @ 0 0 ; B12 @ 0 2 ; B12 @ 1 2 }\n"
+    "image B22 prob p { B12 @ 0 0 ; B22 @ 1 0 ; B12 @ 3 0 ; B22 @ 0 2 ;"
+    " B12 @ 2 2 ; B12 @ 3 2 }\n"
+    "image B22 prob 1-p { B12 @ 0 0 ; B22 @ 1 0 ; B12 @ 3 0 ; B12 @ 0 2 ;"
+    " B12 @ 1 2 ; B22 @ 2 2 }\nend\n")
+
+
+# frozen digests of level-4 walls (rng_seed=1) whose draws meet thresholds
+# that are not dyadic, so a rounding error in them would show
+@pytest.mark.parametrize("rule, p, seed, size, digest", [
+    ("random_pp", Fraction(3, 10), "B22", 430,
+     "ea5c1e86be48472b610ba99d6b49dac2bf5a2a65c238d90930eac2d804769820"),
+    ("random_pp", Fraction(7, 10), "B22", 342,
+     "36502669c36c3e171b6d424563506d3926bf0918301802b88722ce136aa799eb"),
+    (MIXED_RULE, Fraction(1, 3), "B22", 384,
+     "6f9f52025b12672bc423e922eed858fdc017a426fb7cce84c9b41d2b565248d1"),
+    (MIXED_RULE, Fraction(1, 3), "B12", 192,
+     "67f1bdf40f1cf9912e0f82ba2972e24c72420341df4f194c2a981c0b382e28c2"),
+])
+def test_frozen_threshold_digests(rule, p, seed, size, digest):
+    rule = (builtin(rule) if rule == "random_pp" else parse_rule(rule)).bind(p)
+    pat = iterate(rule, seed, 4, rng_seed=1)
+    assert len(pat.bricks) == size
+    assert hashlib.sha256(format_pattern(pat).encode()).hexdigest() == digest
+
+
+class _FixedDraw:
+    """An rng whose every draw is one given value."""
+
+    def __init__(self, value):
+        self.value, self.draws = value, 0
+
+    def next_u64(self):
+        self.draws += 1
+        return self.value
+
+
+@pytest.mark.parametrize("rule", [
+    *(builtin("random_pp", p=Fraction(p)) for p in
+      ("0", "1/3", "3/10", "1/2", "7/10", "1")),
+    builtin("random_self_similar")])
+def test_draws_at_every_threshold_pick_the_exact_option(rule):
+    # option k is the first whose cumulative probability P = num/den has
+    # d * den < num * 2^64; check the draws just below and at each ceiling
+    for t in rule.types:
+        options = rule.images[t.id]
+        cumulative = [sum((o.probability.value for o in options[:k + 1]),
+                          Fraction(0)) for k in range(len(options))]
+        for P in cumulative:
+            ceiling = -((-P.numerator << 64) // P.denominator)
+            for d in {min(max(c, 0), 2 ** 64 - 1) for c in (ceiling - 1, ceiling)}:
+                k = next((k for k, Q in enumerate(cumulative[:-1])
+                          if d * Q.denominator < Q.numerator << 64),
+                         len(options) - 1)
+                rng = _FixedDraw(d)
+                seed = Pattern(rule.name, 0, t.id, None,
+                               (Brick(t.id, 0, 0, t.width, t.height),))
+                got = substitute_once(rule, seed, rng)
+                assert rng.draws == 1
+                assert sorted((b.type_id, b.x, b.y) for b in got.bricks) == \
+                    sorted((pl.type_id, pl.dx, pl.dy)
+                           for pl in options[k].placements), (t.id, d)
+
+
+def test_one_draw_per_brick_of_a_two_option_type(monkeypatch):
+    rule = builtin("random_pp", p=Fraction(3, 10))
+    sizes = [len(w) for w in levels(rule, "B22", 3, rng_seed=1)]
+    draws = []
+    next_u64 = SplitMix64.next_u64
+    monkeypatch.setattr(SplitMix64, "next_u64",
+                        lambda rng: draws.append(1) or next_u64(rng))
+    iterate(rule, "B22", 4, rng_seed=1)
+    assert len(draws) == sum(sizes) == 1 + 8 + 24 + 114
+    # a one-option type draws nothing
+    draws.clear()
+    mixed = parse_rule(MIXED_RULE).bind(Fraction(1, 3))
+    pat = iterate(mixed, "B12", 1, rng_seed=1)
+    assert (len(pat), draws) == (3, [])
+
+
+def test_substitution_table_built_once_per_bound_rule(monkeypatch):
+    built = []
+    build = brickwall.generate._substitution_table
+    monkeypatch.setattr(brickwall.generate, "_substitution_table",
+                        lambda rule: built.append(rule) or build(rule))
+    pp = builtin("random_pp")
+    # each sample_vmax binds p once, and its trials share that rule's table;
+    # it reads probabilities, so the two bound rules do not share one
+    for p in (Fraction(1, 3), Fraction(1, 2)):
+        sample_vmax(pp, "B22", 3, p, trials=4, base_seed=1)
+    assert [rule.images["B22"][1].probability.value for rule in built] == \
+        [Fraction(1, 3), Fraction(1, 2)]
+    assert "substitution_table" not in vars(pp)
 
 
 @given(seed=st.integers(0, 2 ** 64 - 1))

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -264,6 +265,26 @@ def test_cli_count_beyond_the_digit_limit():
                                "B22", "-n", "7200")
     assert code == 1 and stdout == ""
     assert "counting is not defined" in stderr
+
+
+@pytest.mark.parametrize("images, realizations", [
+    (["A { A @ 0 0 }"], "1"),
+    (["A { B @ 0 0 }", "B { A @ 0 0 }"], "1"),
+    (["A prob 1/2 { A @ 0 0 }", "A prob 1/2 { A @ 0 0 }"], "2^1000000"),
+])
+def test_cli_count_unit_expansion_at_once(tmp_path, images, realizations):
+    # the area is fixed, so the level counts repeat; counting them level by
+    # level took seconds at this depth
+    types = sorted({i[0] for i in images})
+    path = tmp_path / "unit.rule"
+    path.write_text("rule unit\nengine geometric\nexpansion 1 1\n"
+                    + "".join(f"brick {t} 1 1\n" for t in types)
+                    + "".join(f"image {i}\n" for i in images) + "end\n")
+    start = time.perf_counter()
+    code, stdout, _ = run("count", "--rule", str(path), "--seed-brick", "A",
+                          "-n", "1000000")
+    assert time.perf_counter() - start < 1
+    assert (code, stdout) == (0, f"bricks: 1\nrealizations: {realizations}\n")
 
 
 def test_cli_brick_budget_exits_1(tmp_path):

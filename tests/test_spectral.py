@@ -207,6 +207,79 @@ def test_realization_factors():
     assert count_realizations(three, "A", 2) == 6 ** 5
 
 
+def _unit_rule(name, bricks, images):
+    return parse_rule(f"rule {name}\nengine geometric\nexpansion 1 1\n"
+                      + "".join(f"brick {b}\n" for b in bricks)
+                      + "".join(f"image {i}\n" for i in images) + "end\n")
+
+
+# unit expansion: the count vectors repeat, with and without a transient
+UNIT_RULES = [
+    _unit_rule("ident", ["A 1 1"], ["A { A @ 0 0 }"]),
+    _unit_rule("flip", ["A 1 1", "B 1 1"],
+               ["A { B @ 0 0 }", "B { A @ 0 0 }"]),
+    _unit_rule("coin", ["A 1 1"],
+               ["A prob 1/2 { A @ 0 0 }", "A prob 1/2 { A @ 0 0 }"]),
+    # from A, one level before a cycle of three; C has 3 options, D 2
+    _unit_rule("chain", ["A 2 1", "B 1 1", "C 1 1", "D 1 1"],
+               ["A { B @ 0 0 ; C @ 1 0 }", "B { C @ 0 0 }",
+                *["C prob 1/3 { D @ 0 0 }"] * 3,
+                *["D prob 1/2 { B @ 0 0 }"] * 2]),
+]
+
+
+@pytest.mark.parametrize("rule", UNIT_RULES + [
+    builtin(name) for name in ALL_BUILTINS if name != "random_pp"],
+    ids=lambda rule: rule.name)
+def test_level_counts_agree_with_the_plain_loop(rule):
+    rows, ks = brickwall.spectral._count_vectors(rule)
+    factors = [brickwall.spectral._prime_factors(k) for k in ks]
+    for seed in rule.type_ids:
+        v = [int(t == seed) for t in rule.type_ids]
+        total, exponents = [0] * len(v), {}
+        for n in range(41):
+            assert brickwall.spectral._level_counts(rule, rows, seed, n) == \
+                (v, total)
+            assert count_bricks(rule, seed, n) == sum(v)
+            assert realization_factors(rule, seed, n) == exponents
+            for f, count in zip(factors, v):
+                for p, e in f.items():
+                    exponents[p] = exponents.get(p, 0) + e * count
+            total = [a + b for a, b in zip(total, v)]
+            v = [sum(a * row[j] for a, row in zip(v, rows))
+                 for j in range(len(v))]
+
+
+class _CountedRows(list):
+    """Rows that count the steps _level_counts takes with them and stop it
+    after ten, before a level-by-level loop to n could run on."""
+
+    steps = 0
+
+    def __iter__(self):  # once per step, as zip(*rows) unpacks them
+        self.steps += 1
+        assert self.steps <= 10, "counted level by level"
+        return super().__iter__()
+
+
+def test_unit_expansion_counts_skip_whole_periods():
+    ident, flip, coin, chain = UNIT_RULES
+    n = 10 ** 18
+    for rule in UNIT_RULES:
+        rows = _CountedRows(brickwall.spectral._count_vectors(rule)[0])
+        brickwall.spectral._level_counts(rule, rows, rule.type_ids[0], n)
+    assert count_bricks(ident, "A", n) == count_bricks(flip, "B", n) == 1
+    assert realization_factors(flip, "A", n) == {}
+    assert realization_factors(coin, "A", n) == {2: n}
+    # levels 1..n-1 cycle through B+C, C+D, D+B: each of C and D is
+    # counted twice in every three levels
+    assert count_bricks(chain, "A", n) == 2
+    assert realization_factors(chain, "A", n) == {3: 2 * (n - 1) // 3,
+                                                  2: 2 * (n - 1) // 3}
+    assert realization_factors(chain, "A", 0) == {}
+    assert realization_factors(chain, "B", 1) == {3: 0, 2: 0}
+
+
 def test_max_bricks():
     for name, seed in (("sigma3", "B22"), ("rows23", "B11"),
                        ("random_self_similar", "B12"), ("ptm", "1")):
