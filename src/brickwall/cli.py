@@ -19,7 +19,7 @@ from fractions import Fraction
 from .builtins import BUILTIN_SOURCES
 from .generate import format_pattern, generate_pattern
 from .joints import analyze
-from .rules import RuleError, RuleSyntaxError, parse_rule, validate_rule
+from .rules import RuleError, RuleSyntaxError, RuleValidationError, parse_rule
 from .spectral import brick_frequencies, count_bricks, matrix, pf_eigenvalue, \
     realization_factors
 from .stats import sample_vmax
@@ -32,8 +32,8 @@ class CliError(Exception):
         super().__init__(message)
 
 
-def _load_rule(ref: str, validate: bool = True):
-    """Rule by builtin name or DSL file path; validate as in parse_rule."""
+def _load_rule(ref: str):
+    """Rule by builtin name or DSL file path, parsed and validated."""
     if ref in BUILTIN_SOURCES:
         source = BUILTIN_SOURCES[ref]
     elif not os.path.exists(ref):
@@ -44,7 +44,7 @@ def _load_rule(ref: str, validate: bool = True):
                 source = fh.read()
         except OSError as e:
             raise CliError(2, f"cannot read rule file '{ref}': {e.strerror}") from None
-    return parse_rule(source, validate=validate)
+    return parse_rule(source)
 
 
 def _parse_p(p_arg: str) -> Fraction:
@@ -125,19 +125,16 @@ def cmd_analyze(args) -> int:
 
 def cmd_validate(args) -> int:
     try:
-        rule = _load_rule(args.rule, validate=False)
+        rule = _load_rule(args.rule)
+    except RuleValidationError as e:
+        print("\n".join(e.diagnostics))
+        return 1
     except RuleSyntaxError as e:
         print(f"error: {e}")
         return 1
-    diagnostics = validate_rule(rule)
-    certificate = None
-    if not diagnostics and rule.engine == "geometric":
-        certificate = rule.overlap_certificate
-        if certificate.verdict == "overlap":
-            diagnostics = [certificate.message]
-    for d in diagnostics:
-        print(d)
-    if diagnostics:
+    certificate = rule.overlap_certificate if rule.engine == "geometric" else None
+    if certificate is not None and certificate.verdict == "overlap":
+        print(certificate.message)
         return 1
     print(f"ok: rule '{rule.name}' ({rule.engine}, {len(rule.types)} types)")
     if certificate is not None and certificate.verdict == "undecided":
@@ -164,11 +161,16 @@ def cmd_spectrum(args) -> int:
 
 def _exact_str(factors) -> str:
     """prod(p ** e) in decimal, or as 'p^e * ...' when the decimal has more
-    digits than the interpreter's int-to-str limit allows."""
-    try:
-        return str(math.prod(p ** e for p, e in factors.items()))
-    except ValueError:
-        return " * ".join(f"{p}^{e}" for p, e in sorted(factors.items()))
+    digits than the interpreter's int-to-str limit allows; the exponents
+    tell, so a product far over the limit is never built."""
+    limit = sys.get_int_max_str_digits()
+    log10 = sum(e * math.log10(p) for p, e in factors.items())
+    if not limit or log10 < limit + 1:
+        try:
+            return str(math.prod(p ** e for p, e in factors.items()))
+        except ValueError:  # just over the limit
+            pass
+    return " * ".join(f"{p}^{e}" for p, e in sorted(factors.items()))
 
 
 def _count_str(rule, seed_type, n) -> str:

@@ -86,30 +86,19 @@ def _image_bricks(rule: SubstitutionRule, opt):
     return Pattern(rule.name, 1, None, None, tuple(bricks)).bricks
 
 
-def _segment_crosses(cells, x, y0, y1) -> bool:
-    # the open segment must run through the interior: unit-height steps with
-    # brick material strictly on both sides
-    for y in range(y0, y1):
-        if (x - 1, y) not in cells or (x, y) not in cells:
-            return False
-    # both closed endpoints must lie on the region's boundary: at least one
-    # of the four surrounding unit cells uncovered
-    for y in (y0, y1):
-        quads = [(x - 1, y), (x, y), (x - 1, y - 1), (x, y - 1)]
-        if all(q in cells for q in quads):
-            return False
-    return True
-
-
 def _bricks_have_crossing(bricks) -> bool:
-    cells = set()
-    for b in bricks:
-        for cx in range(b.x, b.x + b.width):
-            for cy in range(b.y, b.y + b.height):
-                cells.add((cx, cy))
-    for x, run in _edge_segments(bricks).items():
-        for y0, y1 in zip(run[::2], run[1::2]):
-            if _segment_crosses(cells, x, y0, y1):
+    """True iff some edge run at x has bricks on both sides and ends on the
+    boundary: for bricks that do not overlap, a maximal run of the right
+    edges and of the left edges at x (a width-0 brick yields one side's
+    run) with no brick straddling x just below or just above it."""
+    lefts = _edge_segments([(t, x, y, 0, h) for t, x, y, _, h in bricks])
+    rights = _edge_segments([(t, x + w, y, 0, h) for t, x, y, w, h in bricks])
+    for x, run in rights.items():
+        left = lefts.get(x, [])
+        for y0, y1 in set(zip(run[::2], run[1::2])).intersection(
+                zip(left[::2], left[1::2])):
+            if not any(bx < x < bx + w and (by + h == y0 or by == y1)
+                       for _, bx, by, w, h in bricks):
                 return True
     return False
 

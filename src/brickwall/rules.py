@@ -110,9 +110,9 @@ class SubstitutionRule:
     lambda2: int
     skew: int
     types: Tuple[BrickType, ...]
-    images: Mapping[str, Tuple[ImageOption, ...]] = field(default_factory=dict)
+    images: Mapping[str, Tuple[ImageOption, ...]]
     # block image per letter: lambda2 rows (bottom-to-top) of lambda1 ids
-    blocks: Mapping[str, Tuple[Tuple[str, ...], ...]] = field(default_factory=dict)
+    blocks: Mapping[str, Tuple[Tuple[str, ...], ...]]
     # the rule bind() made this one from; it shares the overlap certificate
     # and the growth bounds
     unbound: Optional["SubstitutionRule"] = field(default=None, repr=False,
@@ -337,12 +337,12 @@ def _parse_prob(ln: _Line) -> Prob:
         ln.error(f"bad probability '{tok}' (want num/den, p, or 1-p)")
 
 
-def parse_rule(text: str, validate: bool = True) -> SubstitutionRule:
-    """Parse rule DSL source into a SubstitutionRule.
+def parse_rule(text: str) -> SubstitutionRule:
+    """Parse rule DSL source into a validated SubstitutionRule.
 
-    With validate=True (the default) semantic diagnostics raise
-    RuleValidationError; pass validate=False to collect them yourself
-    via validate_rule.
+    Syntax and structural errors raise RuleSyntaxError; semantic
+    diagnostics (see validate_rule) raise RuleValidationError, whose
+    diagnostics attribute holds the full list.
     """
     name = None
     engine = None
@@ -501,10 +501,9 @@ def parse_rule(text: str, validate: bool = True) -> SubstitutionRule:
     rule = SubstitutionRule(name, engine, lambda1, lambda2, skew, tuple(types),
                             {tid: tuple(opts) for tid, opts in images.items()},
                             dict(blocks))
-    if validate:
-        diags = validate_rule(rule)
-        if diags:
-            raise RuleValidationError(diags)
+    diags = validate_rule(rule)
+    if diags:
+        raise RuleValidationError(diags)
     return rule
 
 

@@ -1,11 +1,13 @@
 """Independent brute-force oracles shared by the test modules.
 
 These recompute results along a different route than the library:
-joints by rasterizing into unit cells, eigenvectors by exact rational
-elimination.  Slow and simple on purpose.
+joints and crossings by rasterizing into unit cells, eigenvectors by
+exact rational elimination.  Slow and simple on purpose.
 """
 
 from fractions import Fraction
+
+from brickwall.joints import _edge_segments
 
 
 def rasterized_joints(pattern):
@@ -37,6 +39,33 @@ def rasterized_joints(pattern):
                 joints.append((x, run[0], run[1]))
                 run = None
     return sorted(joints)
+
+
+def rasterized_crossing(bricks):
+    """Crossing verdict of a set of bricks from a unit-cell raster.
+
+    Each merged vertical edge run (x, y0, y1) of the bricks, exterior
+    included, is walked one unit at a time: it crosses when every unit
+    step has cells covered on both sides and at each end at least one of
+    the four cells around the end point is uncovered.
+    """
+    cells = set()
+    for b in bricks:
+        for cx in range(b.x, b.x + b.width):
+            for cy in range(b.y, b.y + b.height):
+                cells.add((cx, cy))
+
+    def crosses(x, y0, y1):
+        if any((x - 1, y) not in cells or (x, y) not in cells
+               for y in range(y0, y1)):
+            return False
+        return not any(all(q in cells for q in
+                           ((x - 1, y), (x, y), (x - 1, y - 1), (x, y - 1)))
+                       for y in (y0, y1))
+
+    return any(crosses(x, y0, y1)
+               for x, run in _edge_segments(bricks).items()
+               for y0, y1 in zip(run[::2], run[1::2]))
 
 
 def exact_left_eigenvector(entries, lam):

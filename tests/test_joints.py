@@ -2,10 +2,11 @@
 
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import brickwall.generate
 import brickwall.joints
@@ -15,7 +16,8 @@ from brickwall import (BUILTIN_SOURCES, Brick, Pattern, builtin,
                        generate_pattern, has_crossing, iterate, prop2_bound,
                        report_with_crossings, v_max_at, vertical_joints)
 from brickwall.cli import main
-from oracles import rasterized_joints
+from brickwall.joints import _bricks_have_crossing, _image_bricks
+from oracles import rasterized_crossing, rasterized_joints
 
 
 def _pattern(bricks):
@@ -173,6 +175,55 @@ def test_has_crossing_any_option():
     assert has_crossing(builtin("sigma3"), "B21")
     assert not has_crossing(builtin("sigma3"), "B22")
     assert has_crossing(builtin("random_pp", p=Fraction(1, 2)), "B22")
+
+
+@st.composite
+def _overlap_free_bricks(draw):
+    # drawn bricks that overlap an earlier one are dropped
+    bricks = []
+    for x, y, w, h in draw(st.lists(st.tuples(
+            st.integers(0, 5), st.integers(0, 5), st.integers(1, 3),
+            st.integers(1, 3)), min_size=1, max_size=10)):
+        if not any(x < b.x + b.width and b.x < x + w
+                   and y < b.y + b.height and b.y < y + h for b in bricks):
+            bricks.append(Brick("A", x, y, w, h))
+    return _pattern(bricks).bricks
+
+
+def _builtin_crossing_inputs():
+    """Every builtin image option, and every level-1 block wall."""
+    for name in BUILTIN_SOURCES:
+        rule = builtin(name)
+        for tid in rule.type_ids:
+            if rule.engine == "block":
+                yield generate_pattern(rule, tid, 1).bricks
+            else:
+                for opt in rule.images[tid]:
+                    yield _image_bricks(rule, opt)
+
+
+def _with_builtin_examples(test):
+    for bricks in _builtin_crossing_inputs():
+        test = example(bricks=bricks)(test)
+    return test
+
+
+@settings(deadline=None)
+@given(bricks=_overlap_free_bricks())
+@_with_builtin_examples
+def test_crossing_matches_raster(bricks):
+    assert _bricks_have_crossing(bricks) == rasterized_crossing(bricks)
+
+
+def test_crossing_cost_ignores_brick_size():
+    # four 10^5-side bricks: a unit-cell raster would hold 4 * 10^10 cells
+    rule = parse_rule("rule big\nengine geometric\nexpansion 2 2\n"
+                      "brick A 100000 100000\n"
+                      "image A { A @ 0 0 ; A @ 100000 0 ; A @ 0 100000 ;"
+                      " A @ 100000 100000 }\nend\n")
+    start = time.perf_counter()
+    assert crossing_options(rule, "A") == (True,)
+    assert time.perf_counter() - start < 1
 
 
 def test_prop2_bound_values():

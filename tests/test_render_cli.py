@@ -259,6 +259,14 @@ def test_cli_count_beyond_the_digit_limit():
     assert code == 0
     assert json.loads(stdout) == {"bricks": "98304",
                                   "realizations": "2^32767"}
+    # 2^34359738367 has over 10^10 digits: the form is chosen from the
+    # exponents, before any product is built
+    start = time.perf_counter()
+    code, stdout, _ = run("count", "--rule", "random_self_similar",
+                          "--seed-brick", "B22", "-n", "18")
+    assert time.perf_counter() - start < 1
+    assert (code, stdout) == (0, "bricks: 103079215104\n"
+                                 "realizations: 2^34359738367\n")
     # a rule that cannot be counted says so at any depth, not that -n is
     # too large
     code, stdout, stderr = run("count", "--rule", "random_pp", "--seed-brick",
@@ -284,6 +292,21 @@ def test_cli_count_unit_expansion_at_once(tmp_path, images, realizations):
     code, stdout, _ = run("count", "--rule", str(path), "--seed-brick", "A",
                           "-n", "1000000")
     assert time.perf_counter() - start < 1
+    assert (code, stdout) == (0, f"bricks: 1\nrealizations: {realizations}\n")
+
+
+@pytest.mark.parametrize("n, realizations", [
+    (14284, str(2 ** 14284)),  # 4300 digits, the int-to-str limit
+    (14285, "2^14285"),  # 4301 digits
+])
+def test_cli_count_at_the_digit_limit(tmp_path, n, realizations):
+    assert len(str(2 ** 14284)) == sys.get_int_max_str_digits() == 4300
+    path = tmp_path / "coin.rule"
+    path.write_text("rule coin\nengine geometric\nexpansion 1 1\n"
+                    "brick A 1 1\nimage A prob 1/2 { A @ 0 0 }\n"
+                    "image A prob 1/2 { A @ 0 0 }\nend\n")
+    code, stdout, _ = run("count", "--rule", str(path), "--seed-brick", "A",
+                          "-n", str(n))
     assert (code, stdout) == (0, f"bricks: 1\nrealizations: {realizations}\n")
 
 

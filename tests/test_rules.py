@@ -155,6 +155,12 @@ def test_structural_errors(source, fragment):
     assert fragment in str(exc.value)
 
 
+def _diagnostics(source):
+    with pytest.raises(RuleValidationError) as exc:
+        parse_rule(source)
+    return exc.value.diagnostics
+
+
 def test_probability_sum_diagnostic():
     source = ("rule x\nengine geometric\nexpansion 2 2\nbrick A 1 1\n"
               "image A prob 1/3 { A @ 0 0 ; A @ 1 0 ; A @ 0 1 ; A @ 1 1 }\n"
@@ -163,11 +169,11 @@ def test_probability_sum_diagnostic():
     with pytest.raises(RuleValidationError) as exc:
         parse_rule(source)
     assert "probabilities sum to 2/3" in str(exc.value)
-    diags = validate_rule(parse_rule(source, validate=False))
+    diags = _diagnostics(source)
     assert any("probabilities sum to 2/3" in d for d in diags)
     wide = (GEO + "image A prob 3/2 { A @ 0 0 ; A @ 1 0 ; A @ 0 1 ; A @ 1 1 }\n"
             "image A prob -1/2 { A @ 0 0 ; A @ 1 0 ; A @ 0 1 ; A @ 1 1 }\nend\n")
-    diags = validate_rule(parse_rule(wide, validate=False))
+    diags = _diagnostics(wide)
     assert "A option 0: probability 3/2 outside [0, 1]" in diags
     assert "A option 1: probability -1/2 outside [0, 1]" in diags
 
@@ -184,21 +190,20 @@ def test_area_identity_rejects_identity_map():
 def test_overlap_diagnostic():
     source = ("rule x\nengine geometric\nexpansion 2 2\nbrick A 2 2\n"
               "image A { A @ 0 0 ; A @ 1 1 ; A @ 3 3 ; A @ 5 5 }\nend\n")
-    diags = validate_rule(parse_rule(source, validate=False))
+    diags = _diagnostics(source)
     assert any("overlap" in d for d in diags)
 
 
 def test_block_shape_diagnostics():
     source = ("rule x\nengine block skew 0\nexpansion 2 2\nbrick 0 2 1\n"
               "block 0 { row: 0 0 ; row: 0 0 ; row: 0 0 }\nend\n")
-    diags = validate_rule(parse_rule(source, validate=False))
+    diags = _diagnostics(source)
     assert any("3 rows" in d for d in diags)
     ragged = BLOCK + "block 0 { row: 0 0 ; row: 0 }\nend\n"
-    assert "0: block row 1 has 1 letters, expected 2" in \
-        validate_rule(parse_rule(ragged, validate=False))
+    assert "0: block row 1 has 1 letters, expected 2" in _diagnostics(ragged)
     tall = ("rule x\nengine block skew 0\nexpansion 2 2\nbrick 0 2 2\n"
             "block 0 { row: 0 0 ; row: 0 0 }\nend\n")
-    assert any("height 1" in d for d in validate_rule(parse_rule(tall, validate=False)))
+    assert any("height 1" in d for d in _diagnostics(tall))
 
 
 def test_bind_random_pp():
