@@ -17,7 +17,7 @@ from .joints import (JointReport, Prop2Verdict, check_prop2,
                      prop2_bound, report_with_crossings, v_max_at,
                      vertical_joints)
 from .rng import SplitMix64, derive_seed
-from .rules import (BrickType, ImageOption, Placement, Prob,
+from .rules import (BrickType, ImageOption, Prob,
                     RuleError, RuleSyntaxError, RuleValidationError,
                     SubstitutionRule, parse_rule, serialize_rule, validate_rule)
 from .spectral import (SubstitutionMatrix, assert_area_eigenvector,
@@ -31,7 +31,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BUILTIN_SOURCES", "Brick", "BrickType", "ImageOption",
     "JointReport", "LetterGrid", "OverlapError", "Pattern",
-    "Placement", "Prob", "Prop2Verdict", "RuleError",
+    "Prob", "Prop2Verdict", "RuleError",
     "RuleSyntaxError", "RuleValidationError", "SplitMix64",
     "SubstitutionMatrix", "SubstitutionRule", "VmaxStats",
     "assert_area_eigenvector", "brick_frequencies", "builtin",

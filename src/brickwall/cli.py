@@ -162,10 +162,11 @@ def cmd_spectrum(args) -> int:
 def _exact_str(factors) -> str:
     """prod(p ** e) in decimal, or as 'p^e * ...' when the decimal has more
     digits than the interpreter's int-to-str limit allows; the exponents
-    tell, so a product far over the limit is never built."""
-    limit = sys.get_int_max_str_digits()
+    tell, so a product far over the limit is never built.  A lifted limit
+    (0) reads as Python's default."""
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
     log10 = sum(e * math.log10(p) for p, e in factors.items())
-    if not limit or log10 < limit + 1:
+    if log10 < limit + 1:
         try:
             return str(math.prod(p ** e for p, e in factors.items()))
         except ValueError:  # just over the limit
@@ -178,12 +179,12 @@ def _count_str(rule, seed_type, n) -> str:
     the area identity a level-n wall has at least seed area * (lambda1 *
     lambda2)^n / largest brick area bricks: over the limit, no counting."""
     count_bricks(rule, seed_type, 0)  # an uncountable rule exits 1 at any -n
-    limit = sys.get_int_max_str_digits()
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
     too_long = CliError(2, f"-n {n}: the brick count has more than {limit}"
                            " digits (the interpreter's int-to-str limit)")
     largest = max(t.area for t in rule.types)
-    if limit and (math.log10(rule.get_type(seed_type).area / largest)
-                  + n * math.log10(rule.expansion)) >= limit:
+    if (math.log10(rule.get_type(seed_type).area / largest)
+            + n * math.log10(rule.expansion)) >= limit:
         raise too_long
     count = count_bricks(rule, seed_type, n)
     try:

@@ -13,10 +13,10 @@ import re
 from dataclasses import dataclass
 from itertools import accumulate, pairwise
 from operator import attrgetter
-from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from .rng import SplitMix64
-from .rules import RuleError, SubstitutionRule
+from .rules import Brick, RuleError, SubstitutionRule
 from .spectral import max_bricks
 
 MAX_DEPTH = 12  # allocation guard on the depth of any wall
@@ -25,17 +25,6 @@ MAX_BRICKS = 2 ** 21  # most bricks one wall may hold, checked before building
 
 class OverlapError(RuleError):
     """Two bricks overlap; the rule is not a valid tiling substitution."""
-
-
-class Brick(NamedTuple):
-    """A placed brick occupying [x, x+width) x [y, y+height); equal to the
-    plain tuple of its fields, whose order is not the wall order, _ORDER."""
-
-    type_id: str
-    x: int
-    y: int
-    width: int
-    height: int
 
 
 @dataclass(frozen=True)
@@ -157,16 +146,16 @@ def overlap_certificate(rule: SubstitutionRule) -> OverlapCertificate:
                 "undecided", f"overlap undecided: {axis} = 1, so every level"
                              " of a wall is swept for overlaps")
     sizes = {t.id: (t.width, t.height) for t in rule.types}
-    placements = [pl for opts in rule.images.values() for opt in opts
-                  for pl in opt.placements]
+    placements = [b for opts in rule.images.values() for opt in opts
+                  for b in opt.placements]
 
     def window(lam, offsets, size):
         spread = max(offsets, default=0) - min(offsets, default=0)
         return max(size, -(-spread // (lam - 1)))
 
-    kx = window(rule.lambda1, [pl.dx for pl in placements],
+    kx = window(rule.lambda1, [b.x for b in placements],
                 max(w for w, _ in sizes.values()))
-    ky = window(rule.lambda2, [pl.dy for pl in placements],
+    ky = window(rule.lambda2, [b.y for b in placements],
                 max(h for _, h in sizes.values()))
     seeds = {}  # pair -> seed type of the wall it was first found in
     frontier = []
@@ -181,7 +170,7 @@ def overlap_certificate(rule: SubstitutionRule) -> OverlapCertificate:
             for i, a in enumerate(opt.placements):
                 for j, b in enumerate(opt.placements):
                     if i != j:
-                        add((a.type_id, b.type_id, b.dx - a.dx, b.dy - a.dy), t.id)
+                        add((a.type_id, b.type_id, b.x - a.x, b.y - a.y), t.id)
     level = 1
     while frontier:
         for t1, t2, dx, dy in frontier:
@@ -200,8 +189,8 @@ def overlap_certificate(rule: SubstitutionRule) -> OverlapCertificate:
                 for o2 in rule.images[t2]:
                     for p in o1.placements:
                         for q in o2.placements:
-                            add((p.type_id, q.type_id, ax + q.dx - p.dx,
-                                 ay + q.dy - p.dy), seed)
+                            add((p.type_id, q.type_id, ax + q.x - p.x,
+                                 ay + q.y - p.y), seed)
         level += 1
     return OverlapCertificate("certified", "no wall of any seed overlaps")
 
@@ -209,16 +198,15 @@ def overlap_certificate(rule: SubstitutionRule) -> OverlapCertificate:
 def _substitution_table(rule: SubstitutionRule):
     """Per type, the draw thresholds ceil(P_k * 2^64) of its options k but
     the last, P_k the probability of options 0..k, and per option its
-    children (type_id, dx, dy, width, height).  As d < ceil(P_k * 2^64) iff
-    d / 2^64 < P_k, the first option whose threshold exceeds d is exact."""
-    sizes = {t.id: (t.width, t.height) for t in rule.types}
+    children, its image bricks as plain tuples, which unpack faster than
+    Brick.  As d < ceil(P_k * 2^64) iff d / 2^64 < P_k, the first option
+    whose threshold exceeds d is exact."""
     table = {}
     for tid, options in rule.images.items():
         cumulative = accumulate(opt.probability.value for opt in options[:-1])
         table[tid] = (
             tuple(-((-P.numerator << 64) // P.denominator) for P in cumulative),
-            tuple(tuple((pl.type_id, pl.dx, pl.dy, *sizes[pl.type_id])
-                        for pl in opt.placements) for opt in options))
+            tuple(tuple(map(tuple, opt.placements)) for opt in options))
     return table
 
 

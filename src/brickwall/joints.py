@@ -15,7 +15,7 @@ from itertools import repeat
 from operator import sub
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from .generate import Brick, Pattern, generate_pattern, levels
+from .generate import Pattern, generate_pattern, levels
 from .rules import RuleError, SubstitutionRule
 
 
@@ -78,12 +78,8 @@ def v_max_at(rule: SubstitutionRule, seed_type: str, n: int,
 
 
 def _image_bricks(rule: SubstitutionRule, opt):
-    bricks = []
-    for pl in opt.placements:
-        t = rule.get_type(pl.type_id)
-        bricks.append(Brick(pl.type_id, pl.dx, pl.dy, t.width, t.height))
     # a rule lists them in any order; a Pattern holds them in wall order
-    return Pattern(rule.name, 1, None, None, tuple(bricks)).bricks
+    return Pattern(rule.name, 1, None, None, opt.placements).bricks
 
 
 def _bricks_have_crossing(bricks) -> bool:

@@ -1,9 +1,10 @@
 """Substitution rule model, the line-oriented rule DSL, and rule validation.
 
-A rule maps every brick type to one or more image options.  Geometric rules
-place image bricks at integer offsets relative to the expanded anchor
-(lambda1*x, lambda2*y); block rules rewrite letters into lambda2 rows of
-lambda1 letters and are rendered to bricks separately.
+A rule maps every brick type to one or more image options.  A geometric
+option is a patch of bricks, each sized by its type and placed at an integer
+offset from the expanded anchor (lambda1*x, lambda2*y); block rules rewrite
+letters into lambda2 rows of lambda1 letters and are rendered to bricks
+separately.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, List, Mapping, Optional, Tuple
+from itertools import combinations
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 # default fill colors (warm masonry tones), cycled in declaration order
 PALETTE = ("#ff9900", "#cc6633", "#c57339", "#ff8000", "#b3b3ff", "#6d6d93")
@@ -69,9 +71,9 @@ class Prob:
 
     def __str__(self):
         if self.coeff == 0:
-            return f"{self.const.numerator}/{self.const.denominator}"
-        if self.const == 0 and self.coeff == 1:
-            return "p"
+            return str(self.const)
+        if self.const == 0:
+            return "p" if self.coeff == 1 else f"{self.coeff}*p"
         if self.const == 1 and self.coeff == -1:
             return "1-p"
         return f"{self.const} + {self.coeff}*p"
@@ -89,17 +91,22 @@ class BrickType:
         return self.width * self.height
 
 
-@dataclass(frozen=True)
-class Placement:
+class Brick(NamedTuple):
+    """A placed brick occupying [x, x+width) x [y, y+height); equal to the
+    plain tuple of its fields, whose order is not the wall order.  In an
+    image option, x and y are the offset from the inflated anchor."""
+
     type_id: str
-    dx: int
-    dy: int
+    x: int
+    y: int
+    width: int
+    height: int
 
 
 @dataclass(frozen=True)
 class ImageOption:
     probability: Prob
-    placements: Tuple[Placement, ...]
+    placements: Tuple[Brick, ...]  # in source order
 
 
 @dataclass(frozen=True)
@@ -180,27 +187,23 @@ class SubstitutionRule:
                                 self.blocks, unbound=self)
 
 
-def _rects_overlap(x1, y1, w1, h1, x2, y2, w2, h2) -> bool:
+def _bricks_overlap(a: Brick, b: Brick) -> bool:
     # open-rectangle intersection: touching edges do not count
-    return x1 < x2 + w2 and x2 < x1 + w1 and y1 < y2 + h2 and y2 < y1 + h1
-
-
-def _sum_str(const: Fraction, coeff: Fraction) -> str:
-    if coeff == 0:
-        return str(const)
-    if const == 0:
-        return f"{coeff}*p"
-    return f"{const} + {coeff}*p"
+    return (a.x < b.x + b.width and b.x < a.x + a.width
+            and a.y < b.y + b.height and b.y < a.y + a.height)
 
 
 def validate_rule(rule: SubstitutionRule) -> List[str]:
-    """Semantic diagnostics: probability sums, area identity, image overlaps.
+    """Semantic diagnostics: probability sums, area identity, image overlaps,
+    and image bricks whose type the rule lacks or whose size is not their
+    type's (only a hand-built rule has those).
 
     Empty list means the rule is sound.  Structural problems (unknown ids,
     bad dimensions) are the parser's job and raise instead.
     """
     diags: List[str] = []
     if rule.engine == "geometric":
+        sizes = {t.id: (t.width, t.height) for t in rule.types}
         for t in rule.types:
             opts = rule.images.get(t.id, ())
             if not opts:
@@ -209,30 +212,28 @@ def validate_rule(rule: SubstitutionRule) -> List[str]:
             const = sum((o.probability.const for o in opts), _ZERO)
             coeff = sum((o.probability.coeff for o in opts), _ZERO)
             if const != 1 or coeff != 0:
-                diags.append(f"{t.id}: probabilities sum to {_sum_str(const, coeff)}")
+                diags.append(f"{t.id}: probabilities sum to {Prob(const, coeff)}")
             target = rule.expansion * t.area
             for k, opt in enumerate(opts):
                 pr = opt.probability
                 lo, hi = pr.const, pr.const + pr.coeff  # values at p=0 and p=1
                 if min(lo, hi) < 0 or max(lo, hi) > 1:
                     diags.append(f"{t.id} option {k}: probability {pr} outside [0, 1]")
-                area = 0
-                for pl in opt.placements:
-                    try:
-                        area += rule.get_type(pl.type_id).area
-                    except RuleError:
-                        diags.append(f"{t.id} option {k}: unknown type '{pl.type_id}'")
+                for b in opt.placements:
+                    size = sizes.get(b.type_id)
+                    if size is None:
+                        diags.append(f"{t.id} option {k}: unknown type '{b.type_id}'")
+                    elif size != (b.width, b.height):
+                        diags.append(f"{t.id} option {k}: brick {b.type_id}"
+                                     f"@({b.x},{b.y}) has size {b.width}x{b.height},"
+                                     f" rule says {size[0]}x{size[1]}")
+                area = sum(b.width * b.height for b in opt.placements)
                 if area != target:
                     diags.append(f"{t.id} option {k}: area {area} != {target}")
-                rects = [(pl.dx, pl.dy, rule.get_type(pl.type_id).width,
-                          rule.get_type(pl.type_id).height)
-                         for pl in opt.placements
-                         if any(t2.id == pl.type_id for t2 in rule.types)]
-                for i in range(len(rects)):
-                    for j in range(i + 1, len(rects)):
-                        if _rects_overlap(*rects[i], *rects[j]):
-                            diags.append(f"{t.id} option {k}: placements"
-                                         f" {i} and {j} overlap")
+                for (i, a), (j, b) in combinations(enumerate(opt.placements), 2):
+                    if _bricks_overlap(a, b):
+                        diags.append(f"{t.id} option {k}: placements"
+                                     f" {i} and {j} overlap")
     else:
         for t in rule.types:
             if t.height != 1:
@@ -258,7 +259,7 @@ def validate_rule(rule: SubstitutionRule) -> List[str]:
 #   engine geometric | engine block skew <int>
 #   expansion <lambda1> <lambda2>
 #   brick <id> <width> <height> [color #rrggbb]
-#   image <id> [prob <num>/<den> | prob p | prob 1-p] { <id> @ <dx> <dy> ; ... }
+#   image <id> [prob <num>[/<den>] | prob p | prob 1-p] { <id> @ <dx> <dy> ; ... }
 #   block <id> { row: <id> <id> ... ; row: ... }     (rows bottom-to-top)
 #   end
 #
@@ -349,7 +350,9 @@ def parse_rule(text: str) -> SubstitutionRule:
     skew = 0
     lambda1 = lambda2 = None
     types: List[BrickType] = []
-    images: Dict[str, List[ImageOption]] = {}
+    # per type, its options' probabilities and (type_id, dx, dy) references;
+    # bricks once every type is declared
+    images: Dict[str, List[Tuple[Prob, List[Tuple[str, int, int]]]]] = {}
     blocks: Dict[str, Tuple[Tuple[str, ...], ...]] = {}
     ended = False
     last_line = 0
@@ -412,7 +415,7 @@ def parse_rule(text: str) -> SubstitutionRule:
                 ln.take()
                 prob = _parse_prob(ln)
             ln.expect("{")
-            placements: List[Placement] = []
+            placements: List[Tuple[str, int, int]] = []
             while True:
                 tok = ln.take("placement or '}'")
                 if tok == "}":
@@ -421,14 +424,14 @@ def parse_rule(text: str) -> SubstitutionRule:
                 ln.expect("@")
                 dx = ln.take_int("dx")
                 dy = ln.take_int("dy")
-                placements.append(Placement(ref, dx, dy))
+                placements.append((ref, dx, dy))
                 tok = ln.take("';' or '}'")
                 if tok == "}":
                     break
                 if tok != ";":
                     ln.error(f"expected ';' or '}}', got '{tok}'")
             ln.done()
-            images.setdefault(tid, []).append(ImageOption(prob, tuple(placements)))
+            images.setdefault(tid, []).append((prob, placements))
         elif head == "block":
             tid = ln.take("letter id")
             if tid in blocks:
@@ -470,17 +473,19 @@ def parse_rule(text: str) -> SubstitutionRule:
     if not types:
         fail("no brick types declared")
 
-    ids = {t.id for t in types}
+    sizes = {t.id: (t.width, t.height) for t in types}
     if engine == "geometric":
         if blocks:
             fail("block statements not allowed in a geometric rule")
         for tid, opts in images.items():
-            if tid not in ids:
+            if tid not in sizes:
                 fail(f"image for unknown type '{tid}'")
-            for opt in opts:
-                for pl in opt.placements:
-                    if pl.type_id not in ids:
-                        fail(f"unknown type reference '{pl.type_id}' in image of '{tid}'")
+            for k, (prob, refs) in enumerate(opts):
+                for ref, _, _ in refs:
+                    if ref not in sizes:
+                        fail(f"unknown type reference '{ref}' in image of '{tid}'")
+                opts[k] = ImageOption(prob, tuple(Brick(ref, dx, dy, *sizes[ref])
+                                                  for ref, dx, dy in refs))
         for t in types:
             if t.id not in images:
                 fail(f"no image declared for '{t.id}'")
@@ -488,11 +493,11 @@ def parse_rule(text: str) -> SubstitutionRule:
         if images:
             fail("image statements not allowed in a block rule")
         for tid, img in blocks.items():
-            if tid not in ids:
+            if tid not in sizes:
                 fail(f"block image for unknown letter '{tid}'")
             for row in img:
                 for ref in row:
-                    if ref not in ids:
+                    if ref not in sizes:
                         fail(f"unknown letter reference '{ref}' in block of '{tid}'")
         for t in types:
             if t.id not in blocks:
@@ -521,8 +526,8 @@ def serialize_rule(rule: SubstitutionRule) -> str:
         for t in rule.types:
             opts = rule.images[t.id]
             for opt in opts:
-                body = " ; ".join(f"{pl.type_id} @ {pl.dx} {pl.dy}"
-                                  for pl in opt.placements)
+                body = " ; ".join(f"{b.type_id} @ {b.x} {b.y}"
+                                  for b in opt.placements)
                 if len(opts) == 1 and opt.probability == Prob(_ONE):
                     out.append(f"image {t.id} {{ {body} }}")
                 else:

@@ -199,34 +199,28 @@ def count_bricks(rule: SubstitutionRule, seed_type: str, n: int) -> int:
     return sum(_level_counts(rule, _count_vectors(rule)[0], seed_type, n)[0])
 
 
-def growth_bounds(rule: SubstitutionRule
-                  ) -> Tuple[List[List[int]], Fraction, int]:
+def growth_bounds(rule: SubstitutionRule) -> Tuple[List[List[int]], int]:
     """The parts of max_bricks that depend on the rule alone: per type, the
-    most bricks of each type any of its options places; the largest option
-    area / type area; the smallest brick area."""
+    most bricks of each type any of its options places; the smallest brick
+    area."""
     rows = [[max(column) for column in zip(*per_option)]
             for per_option in _placement_counts(rule)]
-    area = {t.id: t.area for t in rule.types}
-    growth = max(Fraction(sum(area[pl.type_id] for pl in opt.placements),
-                          area[t]) for t in rule.type_ids for opt in rule.images[t])
-    return rows, growth, min(area.values())
+    return rows, min(t.area for t in rule.types)
 
 
 def max_bricks(rule: SubstitutionRule, seed_type: str, n: int) -> int:
     """Most bricks the n-th image of the seed can hold.  The lesser of two
     bounds: every brick places, of each type, the most any of its options
-    places; and the wall's area, which grows by at most the largest option
-    area / type area per step (lambda1*lambda2 under the area identity),
-    over the smallest brick area.  Equals count_bricks wherever that is
-    defined; a block rule has lambda1*lambda2 letters per letter."""
+    places; and the wall's area, which grows by lambda1*lambda2 per step
+    under the area identity, over the smallest brick area.  Equals
+    count_bricks wherever that is defined; a block rule has lambda1*lambda2
+    letters per letter."""
     seed = rule.get_type(seed_type)
     if rule.engine == "block":
         return rule.expansion ** n
-    rows, growth, min_area = rule.growth_bounds
+    rows, min_area = rule.growth_bounds
     v, _ = _level_counts(rule, rows, seed_type, n)
-    area_bound = (seed.area * growth.numerator ** n
-                  // (growth.denominator ** n * min_area))
-    return min(sum(v), area_bound)
+    return min(sum(v), seed.area * rule.expansion ** n // min_area)
 
 
 def _prime_factors(k: int) -> Dict[int, int]:

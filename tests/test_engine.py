@@ -51,6 +51,14 @@ def test_substitute_once_single_brick():
     assert out.level == 1
 
 
+def test_substitute_once_needs_a_bound_rule_and_an_rng():
+    pat = Pattern("adhoc", 0, None, None, (Brick("B22", 0, 0, 2, 2),))
+    with pytest.raises(RuleError, match="unbound parameter p"):
+        substitute_once(builtin("random_pp"), pat, SplitMix64(1))
+    with pytest.raises(RuleError, match="an rng is required"):
+        substitute_once(builtin("random_self_similar"), pat)
+
+
 def test_substitute_once_empty_pattern():
     rule = builtin("sigma3")
     empty = Pattern("sigma3", 0, None, None, ())
@@ -96,7 +104,7 @@ def test_option_selection_interval_convention():
         opt = rule.images["B22"][0 if draw < 2 ** 63 else 1]
         pat = iterate(rule, "B22", 1, rng_seed=seed)
         assert {(b.type_id, b.x, b.y) for b in pat.bricks} == {
-            (pl.type_id, pl.dx, pl.dy) for pl in opt.placements}
+            (pl.type_id, pl.x, pl.y) for pl in opt.placements}
 
 
 def test_frozen_random_pattern_digest():
@@ -169,7 +177,7 @@ def test_draws_at_every_threshold_pick_the_exact_option(rule):
                 got = substitute_once(rule, seed, rng)
                 assert rng.draws == 1
                 assert sorted((b.type_id, b.x, b.y) for b in got.bricks) == \
-                    sorted((pl.type_id, pl.dx, pl.dy)
+                    sorted((pl.type_id, pl.x, pl.y)
                            for pl in options[k].placements), (t.id, d)
 
 

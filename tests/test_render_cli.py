@@ -310,6 +310,27 @@ def test_cli_count_at_the_digit_limit(tmp_path, n, realizations):
     assert (code, stdout) == (0, f"bricks: 1\nrealizations: {realizations}\n")
 
 
+@pytest.mark.parametrize("rule, n, code, out", [
+    ("random_self_similar", 18, 0,
+     "bricks: 103079215104\nrealizations: 2^34359738367\n"),
+    ("sigma3", 1000000, 2, ""),
+])
+def test_cli_count_with_the_digit_limit_lifted(rule, n, code, out):
+    # PYTHONINTMAXSTRDIGITS=0 lifts the limit; count keeps Python's default,
+    # so it neither builds a 10^10-digit product nor counts a huge wall
+    start = time.perf_counter()
+    res = subprocess.run(
+        [sys.executable, "-m", "brickwall.cli", "count", "--rule", rule,
+         "--seed-brick", "B22", "-n", str(n)], capture_output=True,
+        text=True, timeout=20, env={**os.environ, "PYTHONINTMAXSTRDIGITS": "0"})
+    assert time.perf_counter() - start < 2
+    assert (res.returncode, res.stdout) == (code, out)
+    if code:
+        assert res.stderr == (f"error: -n {n}: the brick count has more than"
+                              f" {sys.int_info.default_max_str_digits} digits"
+                              " (the interpreter's int-to-str limit)\n")
+
+
 def test_cli_brick_budget_exits_1(tmp_path):
     out = tmp_path / "huge.svg"
     code, stdout, stderr = run("generate", "--rule", "sigma3", "--seed-brick",
@@ -407,6 +428,10 @@ def test_cli_analyze_invalid_rule_file(tmp_path):
      "outside [0, 1]"),
     (("sample", "--rule", "random_pp", "--seed-brick", "B22", "-p", "zebra"),
      "-p"),
+    (("sample", "--rule", "sigma3", "--seed-brick", "B22", "-n", "2", "-p",
+      "1/2"), "has no parameter p; sample needs one"),
+    (("sample", "--rule", "random_pp", "--seed-brick", "B22", "-n", "2", "-p",
+      "1/2", "--trials", "0"), "--trials must be >= 1, got 0"),
     (("validate", "--rule", "."), "cannot read rule file '.'"),
     (("analyze", "--rule", ".", "--seed-brick", "A", "-n", "1"),
      "cannot read rule file '.'"),

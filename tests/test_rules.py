@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from brickwall import (Prob, RuleError, RuleSyntaxError, RuleValidationError,
-                       builtin, builtin_names, parse_rule, serialize_rule,
-                       validate_rule)
+from brickwall import (Brick, ImageOption, Prob, RuleError, RuleSyntaxError,
+                       RuleValidationError, SubstitutionRule, builtin,
+                       builtin_names, parse_rule, serialize_rule, validate_rule)
 
 ALL_BUILTINS = ("ptm", "ptm_skewed", "sigma3", "rows23",
                 "random_self_similar", "random_pp")
@@ -61,6 +61,44 @@ def test_block_builtins():
 def test_serialize_round_trip(name):
     rule = builtin(name)
     assert parse_rule(serialize_rule(rule)) == rule
+
+
+def test_serialize_writes_whole_probabilities_as_integers():
+    rule = parse_rule("rule sure\nengine geometric\nexpansion 1 1\n"
+                      "brick A 1 1\nimage A prob 1/1 { A @ 0 0 }\n"
+                      "image A prob 0/1 { A @ 0 0 }\nend\n")
+    text = serialize_rule(rule)
+    assert "image A prob 1 { A @ 0 0 }\nimage A prob 0 { A @ 0 0 }\n" in text
+    assert parse_rule(text) == rule
+
+
+def test_image_before_its_bricks_gets_sized_bricks():
+    rule = parse_rule("rule late\nengine geometric\nexpansion 2 1\n"
+                      "image A { B @ 0 0 }\n"
+                      "image B { A @ 0 0 ; A @ 1 0 ; B @ 2 0 }\n"
+                      "brick A 1 1\nbrick B 2 1\nend\n")
+    assert rule.images["A"][0].placements == (Brick("B", 0, 0, 2, 1),)
+    assert rule.images["B"][0].placements == (
+        Brick("A", 0, 0, 1, 1), Brick("A", 1, 0, 1, 1), Brick("B", 2, 0, 2, 1))
+
+
+def test_validate_checks_hand_built_image_bricks():
+    # the parser sizes every image brick from its type; a hand-built rule
+    # can hold a brick of no type or of the wrong size
+    rule = parse_rule("rule pair\nengine geometric\nexpansion 2 1\n"
+                      "brick A 1 1\nbrick B 2 1\nimage A { B @ 0 0 }\n"
+                      "image B { A @ 0 0 ; A @ 1 0 ; B @ 2 0 }\nend\n")
+    images = {"A": (ImageOption(Prob(Fraction(1)), (Brick("C", 0, 0, 2, 1),)),),
+              "B": (ImageOption(Prob(Fraction(1)), (
+                  Brick("A", 0, 0, 1, 1), Brick("A", 1, 0, 2, 1),
+                  Brick("B", 2, 0, 2, 1))),)}
+    bad = SubstitutionRule(rule.name, rule.engine, rule.lambda1, rule.lambda2,
+                           rule.skew, rule.types, images, rule.blocks)
+    assert validate_rule(bad) == [
+        "A option 0: unknown type 'C'",
+        "B option 0: brick A@(1,0) has size 2x1, rule says 1x1",
+        "B option 0: area 5 != 4",
+        "B option 0: placements 1 and 2 overlap"]
 
 
 def test_parse_color_and_comment():
@@ -176,6 +214,12 @@ def test_probability_sum_diagnostic():
     diags = _diagnostics(wide)
     assert "A option 0: probability 3/2 outside [0, 1]" in diags
     assert "A option 1: probability -1/2 outside [0, 1]" in diags
+    # a sum prints as a probability does
+    coin = GEO + "image A prob p { A @ 0 0 ; A @ 1 0 ; A @ 0 1 ; A @ 1 1 }\nend\n"
+    assert _diagnostics(coin) == ["A: probabilities sum to p"]
+    twice = (GEO + "image A prob p { A @ 0 0 ; A @ 1 0 ; A @ 0 1 ; A @ 1 1 }\n"
+             "image A prob p { A @ 0 0 ; A @ 1 0 ; A @ 0 1 ; A @ 1 1 }\nend\n")
+    assert _diagnostics(twice) == ["A: probabilities sum to 2*p"]
 
 
 def test_area_identity_rejects_identity_map():
