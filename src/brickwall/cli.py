@@ -93,7 +93,7 @@ def cmd_generate(args) -> int:
             fh.write(content)
     except OSError as e:
         raise CliError(2, f"cannot write '{args.out}': {e.strerror}") from None
-    print(f"wrote {args.out} ({len(pattern.bricks)} bricks)")
+    print(f"wrote {args.out} ({len(pattern)} bricks)")
     return 0
 
 
@@ -107,7 +107,7 @@ def cmd_analyze(args) -> int:
         print(json.dumps(doc, indent=2))
         return 0
     print(f"rule {rule.name}, seed {args.seed_brick}, n={args.n}:"
-          f" {len(report.pattern.bricks)} bricks")
+          f" {len(report.pattern)} bricks")
     print(f"v_max: {report.v_max}")
     print(f"joints: {len(report.joints)}")
     crossing = [tid for tid, c in report.crossings.items() if c]
@@ -179,9 +179,11 @@ def _count_str(rule, seed_type, n) -> str:
     the area identity a level-n wall has at least seed area * (lambda1 *
     lambda2)^n / largest brick area bricks: over the limit, no counting."""
     count_bricks(rule, seed_type, 0)  # an uncountable rule exits 1 at any -n
-    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    limit = sys.get_int_max_str_digits()  # 0: lifted, so use Python's default
+    source = "the interpreter's" if limit else "Python's default"
+    limit = limit or sys.int_info.default_max_str_digits
     too_long = CliError(2, f"-n {n}: the brick count has more than {limit}"
-                           " digits (the interpreter's int-to-str limit)")
+                           f" digits ({source} int-to-str limit)")
     largest = max(t.area for t in rule.types)
     if (math.log10(rule.get_type(seed_type).area / largest)
             + n * math.log10(rule.expansion)) >= limit:

@@ -11,8 +11,9 @@ from __future__ import annotations
 import bisect
 import re
 from dataclasses import dataclass
-from itertools import accumulate, pairwise
-from operator import attrgetter
+from functools import cached_property
+from itertools import accumulate
+from operator import itemgetter
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 from .rng import SplitMix64
@@ -27,48 +28,60 @@ class OverlapError(RuleError):
     """Two bricks overlap; the rule is not a valid tiling substitution."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Pattern:
     """A wall: its bricks and how it was made.
 
-    The bricks are always in _ORDER, (y, x, type_id): a pattern made from
-    bricks in any other order (hand-built, parsed, or just substituted)
-    holds a sorted copy.  The PRNG draws and every output take one pass
-    over them in that order."""
+    rows holds the bricks as plain (type_id, x, y, width, height) tuples,
+    always in _ORDER, (y, x, type_id): Pattern(...) takes bricks or tuples
+    in any order (hand-built, parsed) and keeps a sorted copy.  The PRNG
+    draws and every output take one pass over the rows in that order;
+    bricks is the same wall as Brick records, built on first read."""
 
     rule_name: str
     level: int
     seed_type: Optional[str]
     rng_seed: Optional[int]
-    bricks: Tuple[Brick, ...]
+    rows: Tuple[Tuple[str, int, int, int, int], ...]
 
-    def __post_init__(self):
-        if not _in_order(self.bricks):
-            object.__setattr__(self, "bricks",
-                               tuple(sorted(self.bricks, key=_ORDER)))
+    def __init__(self, rule_name, level, seed_type, rng_seed, bricks):
+        vars(self).update(rule_name=rule_name, level=level, seed_type=seed_type,
+                          rng_seed=rng_seed,
+                          rows=tuple(sorted(map(tuple, bricks), key=_ORDER)))
+
+    @classmethod
+    def _of_rows(cls, rule_name, level, seed_type, rng_seed, rows):
+        """A Pattern of rows the engine built in _ORDER: no sort, no copy."""
+        pattern = cls(rule_name, level, seed_type, rng_seed, ())
+        vars(pattern)["rows"] = rows
+        return pattern
+
+    @cached_property
+    def bricks(self) -> Tuple[Brick, ...]:
+        return tuple(map(Brick._make, self.rows))
 
     def __len__(self):
-        return len(self.bricks)
+        return len(self.rows)
 
     @property
     def area(self) -> int:
-        return sum(b.width * b.height for b in self.bricks)
+        return sum(w * h for _, _, _, w, h in self.rows)
 
     def bbox(self) -> Tuple[int, int, int, int]:
         """(min_x, min_y, max_x, max_y) of the covered region."""
-        if not self.bricks:
+        if not self.rows:
             raise ValueError("empty pattern has no bounding box")
-        b = self.bricks[0]
-        min_x, min_y, max_x, max_y = b.x, b.y, b.x + b.width, b.y + b.height
-        for b in self.bricks:
-            if b.x < min_x:
-                min_x = b.x
-            if b.y < min_y:
-                min_y = b.y
-            if b.x + b.width > max_x:
-                max_x = b.x + b.width
-            if b.y + b.height > max_y:
-                max_y = b.y + b.height
+        _, min_x, min_y, w, h = self.rows[0]
+        max_x, max_y = min_x + w, min_y + h
+        for _, x, y, w, h in self.rows:
+            if x < min_x:
+                min_x = x
+            if y < min_y:
+                min_y = y
+            if x + w > max_x:
+                max_x = x + w
+            if y + h > max_y:
+                max_y = y + h
         return min_x, min_y, max_x, max_y
 
 
@@ -81,21 +94,15 @@ class LetterGrid:
     seed_letter: str
 
 
-_ORDER = attrgetter("y", "x", "type_id")  # wall order: draws and outputs
-_new = tuple.__new__  # _new(Brick, fields) skips Brick's argument parsing
-
-
-def _in_order(bricks) -> bool:
-    """True iff the bricks are in _ORDER; stops at the first pair that is not."""
-    return all(a <= b for a, b in pairwise(map(_ORDER, bricks)))
+_ORDER = itemgetter(2, 1, 0)  # wall order, (y, x, type_id): draws and outputs
 
 
 def check_no_overlap(bricks: Iterable[Brick]) -> None:
     """Sweep over x; active y-intervals stay disjoint or we raise OverlapError."""
     events = []  # (x, kind, y0, y1); removals sort before insertions
-    for b in bricks:
-        events.append((b.x, 1, b.y, b.y + b.height))
-        events.append((b.x + b.width, 0, b.y, b.y + b.height))
+    for _, x, y, w, h in bricks:
+        events.append((x, 1, y, y + h))
+        events.append((x + w, 0, y, y + h))
     events.sort()
     active: List[Tuple[int, int]] = []  # disjoint (y0, y1), sorted
     for x, kind, y0, y1 in events:
@@ -198,9 +205,9 @@ def overlap_certificate(rule: SubstitutionRule) -> OverlapCertificate:
 def _substitution_table(rule: SubstitutionRule):
     """Per type, the draw thresholds ceil(P_k * 2^64) of its options k but
     the last, P_k the probability of options 0..k, and per option its
-    children, its image bricks as plain tuples, which unpack faster than
-    Brick.  As d < ceil(P_k * 2^64) iff d / 2^64 < P_k, the first option
-    whose threshold exceeds d is exact."""
+    children, its image bricks as plain tuples like a Pattern's rows.  As
+    d < ceil(P_k * 2^64) iff d / 2^64 < P_k, the first option whose
+    threshold exceeds d is exact."""
     table = {}
     for tid, options in rule.images.items():
         cumulative = accumulate(opt.probability.value for opt in options[:-1])
@@ -210,17 +217,18 @@ def _substitution_table(rule: SubstitutionRule):
     return table
 
 
-def _substitute_bricks(rule: SubstitutionRule, bricks, rng) -> Tuple[Brick, ...]:
-    # draws follow the order of bricks: pass a Pattern's, which keeps _ORDER
+def _substitute_bricks(rule: SubstitutionRule, rows, rng) -> Tuple[tuple, ...]:
+    # draws follow the order of rows: pass a Pattern's, which keeps _ORDER
     table, l1, l2 = rule.substitution_table, rule.lambda1, rule.lambda2
     out = []
-    for t, x, y, _, _ in bricks:
+    for t, x, y, _, _ in rows:
         thresholds, options = table[t]
         children = (options[bisect.bisect_right(thresholds, rng.next_u64())]
                     if thresholds else options[0])
         ax, ay = l1 * x, l2 * y
         for c, dx, dy, w, h in children:
-            out.append(_new(Brick, (c, ax + dx, ay + dy, w, h)))
+            out.append((c, ax + dx, ay + dy, w, h))
+    out.sort(key=_ORDER)
     return tuple(out)
 
 
@@ -239,11 +247,11 @@ def _check_budget(rule, seed_type, n):
 
 
 def _check_brick_types(rule, bricks):
-    for b in bricks:
-        t = rule.get_type(b.type_id)
-        if (t.width, t.height) != (b.width, b.height):
-            raise RuleError(f"brick {b.type_id}@({b.x},{b.y}) has size"
-                            f" {b.width}x{b.height}, rule says {t.width}x{t.height}")
+    for tid, x, y, w, h in bricks:
+        t = rule.get_type(tid)
+        if (t.width, t.height) != (w, h):
+            raise RuleError(f"brick {tid}@({x},{y}) has size"
+                            f" {w}x{h}, rule says {t.width}x{t.height}")
 
 
 def _walls(rule, seed_type, n, rng_seed):
@@ -273,14 +281,13 @@ def _walls(rule, seed_type, n, rng_seed):
         return
     sweep = n > 0 and rule.overlap_certificate.verdict != "certified"
     rng_seed = rng_seed if rule.is_random else None
-    bricks = (Brick(seed.id, 0, 0, seed.width, seed.height),)
+    rows = ((seed.id, 0, 0, seed.width, seed.height),)
     for level in range(n + 1):
         if level:
-            bricks = _substitute_bricks(rule, pattern.bricks, rng)
+            rows = _substitute_bricks(rule, rows, rng)
             if sweep:
-                check_no_overlap(bricks)
-        pattern = Pattern(rule.name, level, seed_type, rng_seed, bricks)
-        yield pattern
+                check_no_overlap(rows)
+        yield Pattern._of_rows(rule.name, level, seed_type, rng_seed, rows)
 
 
 def levels(rule: SubstitutionRule, seed_type: str, n: int,
@@ -308,15 +315,15 @@ def substitute_once(rule: SubstitutionRule, pattern: Pattern,
     """One substitution step; pass the same SplitMix64 across steps to
     reproduce what iterate does with a single stream."""
     _require_geometric(rule)
-    _check_brick_types(rule, pattern.bricks)
+    _check_brick_types(rule, pattern.rows)
     if rule.is_parametric:
         raise RuleError(f"rule '{rule.name}' has unbound parameter p; bind it first")
     if rule.is_random and rng is None:
         raise RuleError(f"rule '{rule.name}' is random; an rng is required")
-    bricks = _substitute_bricks(rule, pattern.bricks, rng)
-    check_no_overlap(bricks)  # the input pattern may come from anywhere
-    return Pattern(rule.name, pattern.level + 1, pattern.seed_type,
-                   pattern.rng_seed, bricks)
+    rows = _substitute_bricks(rule, pattern.rows, rng)
+    check_no_overlap(rows)  # the input pattern may come from anywhere
+    return Pattern._of_rows(rule.name, pattern.level + 1, pattern.seed_type,
+                            pattern.rng_seed, rows)
 
 
 def iterate_block(rule: SubstitutionRule, seed_letter: str, n: int) -> LetterGrid:
@@ -330,16 +337,17 @@ def iterate_block(rule: SubstitutionRule, seed_letter: str, n: int) -> LetterGri
 
 def render_grid(rule: SubstitutionRule, grid: LetterGrid) -> Pattern:
     """Turn a letter grid into bricks: row R starts at x = skew*R and letters
-    lie side by side with their own widths."""
+    lie side by side with their own widths, so the rows come in _ORDER."""
     widths = {t.id: t.width for t in rule.types}
-    bricks = []
+    rows = []
     for r, row in enumerate(grid.rows):
         x = rule.skew * r
         for letter in row:
             w = widths[letter]
-            bricks.append(_new(Brick, (letter, x, r, w, 1)))
+            rows.append((letter, x, r, w, 1))
             x += w
-    return Pattern(rule.name, grid.level, grid.seed_letter, None, tuple(bricks))
+    return Pattern._of_rows(rule.name, grid.level, grid.seed_letter, None,
+                            tuple(rows))
 
 
 def generate_pattern(rule: SubstitutionRule, seed_type: str, n: int,
@@ -366,7 +374,7 @@ _HEADER_RE = re.compile(r"#\s*rule=(\S+)\s+n=(\d+)\s+seed=(\S+)\s*$")
 def format_pattern(pattern: Pattern) -> str:
     seed = "-" if pattern.rng_seed is None else str(pattern.rng_seed)
     lines = [f"# rule={pattern.rule_name} n={pattern.level} seed={seed}"]
-    lines += [f"{t} {x} {y} {w} {h}" for t, x, y, w, h in pattern.bricks]
+    lines += [f"{t} {x} {y} {w} {h}" for t, x, y, w, h in pattern.rows]
     return "\n".join(lines) + "\n"
 
 
@@ -384,6 +392,5 @@ def parse_pattern(text: str) -> Pattern:
         parts = ln.split()
         if len(parts) != 5:
             raise ValueError(f"bad pattern line: {ln!r}")
-        tid, x, y, w, h = parts[0], *map(int, parts[1:])
-        bricks.append(Brick(tid, x, y, w, h))
+        bricks.append((parts[0], *map(int, parts[1:])))
     return Pattern(rule_name, level, None, rng_seed, tuple(bricks))

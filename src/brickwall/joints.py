@@ -15,7 +15,7 @@ from itertools import repeat
 from operator import sub
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from .generate import Pattern, generate_pattern, levels
+from .generate import _ORDER, Pattern, generate_pattern, levels
 from .rules import RuleError, SubstitutionRule
 
 
@@ -40,7 +40,7 @@ def _edge_segments(bricks) -> Dict[int, List[int]]:
     """Merged vertical edge runs per abscissa, exterior included, each as a
     flat list y0, y1, y0, y1, ... of disjoint runs from the bottom up.
     Touching edges merge.  One pass over bricks in y order: a Pattern's
-    bricks, or an image's from _image_bricks."""
+    rows, or an image's bricks from _image_bricks."""
     runs: Dict[int, List[int]] = {}
     for _, x0, y0, w, h in bricks:
         y1 = y0 + h
@@ -62,7 +62,7 @@ def vertical_joints(pattern: Pattern) -> JointReport:
     joints = []
     v_max = 0
     # the least and the greatest abscissa are the outline
-    runs = _edge_segments(pattern.bricks)
+    runs = _edge_segments(pattern.rows)
     for x in sorted(runs)[1:-1]:
         run = runs[x]
         y0s, y1s = run[::2], run[1::2]
@@ -78,8 +78,8 @@ def v_max_at(rule: SubstitutionRule, seed_type: str, n: int,
 
 
 def _image_bricks(rule: SubstitutionRule, opt):
-    # a rule lists them in any order; a Pattern holds them in wall order
-    return Pattern(rule.name, 1, None, None, opt.placements).bricks
+    # a rule lists them in any order; a wall holds them in wall order
+    return sorted(opt.placements, key=_ORDER)
 
 
 def _bricks_have_crossing(bricks) -> bool:
@@ -103,7 +103,7 @@ def crossing_options(rule: SubstitutionRule, type_id: str) -> Tuple[bool, ...]:
     """Crossing verdict per image option of one type."""
     rule.get_type(type_id)
     if rule.engine == "block":
-        return (_bricks_have_crossing(generate_pattern(rule, type_id, 1).bricks),)
+        return (_bricks_have_crossing(generate_pattern(rule, type_id, 1).rows),)
     return tuple(_bricks_have_crossing(_image_bricks(rule, opt))
                  for opt in rule.images[type_id])
 
@@ -180,10 +180,10 @@ def empirical_frequencies(pattern: Pattern, rule: SubstitutionRule
                           ) -> Dict[str, Fraction]:
     """Brick-count share per type, in the rule's type order, zero-count
     types included."""
-    if not pattern.bricks:
+    if not pattern.rows:
         raise ValueError("empty pattern has no frequencies")
-    counts = Counter(b.type_id for b in pattern.bricks)
-    total = len(pattern.bricks)
+    counts = Counter(t for t, _, _, _, _ in pattern.rows)
+    total = len(pattern.rows)
     return {tid: Fraction(counts[tid], total) for tid in rule.type_ids}
 
 

@@ -39,7 +39,7 @@ class _Memo(dict):
 def to_svg(pattern: Pattern, rule: SubstitutionRule) -> str:
     """Render a pattern as an SVG document string, each brick in the color
     of its type in ``rule`` (RuleError for a type the rule lacks)."""
-    if not pattern.bricks:
+    if not pattern.rows:
         raise ValueError("cannot render an empty pattern")
 
     min_x, min_y, max_x, max_y = pattern.bbox()
@@ -60,7 +60,7 @@ def to_svg(pattern: Pattern, rule: SubstitutionRule) -> str:
     # flip so row 0 is at the bottom
     mid = _Memo(lambda top: f'{_fmt((max_y - top) * cs + pad)}"')
     tail = _Memo(size_and_paint)
-    for tid, x, y, w, h in pattern.bricks:
+    for tid, x, y, w, h in pattern.rows:
         lines.append(head[x] + mid[y + h] + tail[tid, w, h])
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

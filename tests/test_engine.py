@@ -14,6 +14,7 @@ from brickwall import (Brick, OverlapError, Pattern, RuleError,
                        iterate_block, overlap_certificate, parse_pattern,
                        parse_rule, ptm_oracle, render_grid, sample_vmax,
                        substitute_once, to_svg, vertical_joints)
+from brickwall.builtins import builtin_names
 from brickwall.generate import MAX_BRICKS, levels
 
 SIGMA3_B22_IMAGE = {
@@ -493,3 +494,29 @@ def test_outputs_ignore_brick_order(wall, n, order):
     if rule.engine == "geometric":  # draws follow (y, x, type_id) order
         assert substitute_once(rule, shuffled, SplitMix64(3)).bricks == \
             substitute_once(rule, pat, SplitMix64(3)).bricks
+
+
+@pytest.mark.parametrize("name, p", [
+    *((name, None) for name in builtin_names() if name != "random_pp"),
+    *(("random_pp", Fraction(p)) for p in ("0", "1/3", "1/2", "1")),
+])
+def test_engine_walls_are_in_wall_order(name, p):
+    # the engine hands its walls to Pattern unsorted and unchecked
+    def check(wall):
+        assert wall.rows == tuple(sorted(wall.rows,
+                                         key=lambda r: (r[2], r[1], r[0])))
+
+    rule = builtin(name, p=p)
+    for seed_type in rule.type_ids:
+        for rng_seed in (1, 7, 42) if rule.is_random else (None,):
+            for wall in levels(rule, seed_type, 5, rng_seed):
+                check(wall)
+            if rule.engine == "block":
+                check(render_grid(rule, iterate_block(rule, seed_type, 5)))
+                continue
+            check(iterate(rule, seed_type, 5, rng_seed))
+            wall = iterate(rule, seed_type, 0, rng_seed)
+            rng = SplitMix64(rng_seed) if rule.is_random else None
+            for _ in range(5):
+                wall = substitute_once(rule, wall, rng)
+                check(wall)

@@ -15,7 +15,9 @@ import pytest
 
 from brickwall import (Brick, Pattern, RuleError, builtin, generate_pattern,
                        iterate, parse_pattern, parse_rule, to_svg)
+from brickwall import format_pattern, sample_vmax, vertical_joints
 from brickwall.cli import main
+from brickwall.joints import analyze
 from brickwall.rules import PALETTE
 
 SINGLE_BRICK_SVG = (
@@ -328,7 +330,7 @@ def test_cli_count_with_the_digit_limit_lifted(rule, n, code, out):
     if code:
         assert res.stderr == (f"error: -n {n}: the brick count has more than"
                               f" {sys.int_info.default_max_str_digits} digits"
-                              " (the interpreter's int-to-str limit)\n")
+                              " (Python's default int-to-str limit)\n")
 
 
 def test_cli_brick_budget_exits_1(tmp_path):
@@ -508,3 +510,39 @@ def test_cli_closed_stdout_exits_2_quietly(unbuffered):
     finally:
         os.close(write_end)
     assert (res.returncode, res.stderr) == (2, "")
+
+
+def test_bricks_is_a_cached_view_of_the_rows():
+    wall = iterate(builtin("sigma3"), "B22", 3)
+    view = wall.bricks
+    assert all(type(b) is Brick for b in view)
+    assert [(b.type_id, b.x, b.y, b.width, b.height) for b in view] == \
+        list(wall.rows)
+    assert view == wall.rows and all(type(r) is tuple for r in wall.rows)
+    assert wall.bricks is view
+    head = (wall.rule_name, wall.level, wall.seed_type, wall.rng_seed)
+    from_rows, from_bricks = Pattern(*head, wall.rows), Pattern(*head, view)
+    assert from_rows == from_bricks == wall
+    assert hash(from_rows) == hash(from_bricks)
+    assert all(type(r) is tuple for r in from_bricks.rows)
+
+
+def test_analyses_never_build_the_brick_view(monkeypatch, tmp_path, capsys):
+    def refuse(pattern):
+        raise AssertionError("the Brick view was built")
+
+    monkeypatch.setattr(Pattern, "bricks", property(refuse))
+    sigma3 = builtin("sigma3")
+    wall = iterate(sigma3, "B22", 3)
+    vertical_joints(wall)
+    to_svg(wall, sigma3)
+    format_pattern(wall)
+    analyze(sigma3, "B22", 3)
+    analyze(builtin("ptm_skewed"), "0", 3)
+    sample_vmax(builtin("random_pp"), "B22", 3, Fraction(1, 2), trials=5)
+    for rule, seed in (("sigma3", "B22"), ("ptm_skewed", "0")):
+        for out in ("wall.svg", "wall.txt"):
+            assert main(["generate", "--rule", rule, "--seed-brick", seed,
+                         "-n", "3", "--out", str(tmp_path / out)]) == 0
+        assert main(["analyze", "--rule", rule, "--seed-brick", seed,
+                     "-n", "3"]) == 0
