@@ -167,10 +167,9 @@ def _exact_str(factors) -> str:
     limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
     log10 = sum(e * math.log10(p) for p, e in factors.items())
     if log10 < limit + 1:
-        try:
-            return str(math.prod(p ** e for p, e in factors.items()))
-        except ValueError:  # just over the limit
-            pass
+        value = math.prod(p ** e for p, e in factors.items())
+        if value < 10 ** limit:  # else just over the limit
+            return str(value)
     return " * ".join(f"{p}^{e}" for p, e in sorted(factors.items()))
 
 
@@ -189,10 +188,9 @@ def _count_str(rule, seed_type, n) -> str:
             + n * math.log10(rule.expansion)) >= limit:
         raise too_long
     count = count_bricks(rule, seed_type, n)
-    try:
-        return str(count)
-    except ValueError:  # the bound fell short of the count
-        raise too_long from None
+    if count >= 10 ** limit:  # the bound fell short of the count
+        raise too_long
+    return str(count)
 
 
 def cmd_count(args) -> int:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import bisect
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -95,6 +96,7 @@ class LetterGrid:
 
 
 _ORDER = itemgetter(2, 1, 0)  # wall order, (y, x, type_id): draws and outputs
+_X = itemgetter(1)  # a brick's x, which orders one row of a wall
 
 
 def check_no_overlap(bricks: Iterable[Brick]) -> None:
@@ -218,17 +220,27 @@ def _substitution_table(rule: SubstitutionRule):
 
 
 def _substitute_bricks(rule: SubstitutionRule, rows, rng) -> Tuple[tuple, ...]:
-    # draws follow the order of rows: pass a Pattern's, which keeps _ORDER
+    """The children of rows, in _ORDER, with one draw per parent that has
+    options, in the order of rows: pass a Pattern's, which keeps _ORDER.
+    Children are filed by y, each row is sorted by x alone, and the rows
+    are joined bottom to top.  A row arrives as a few ascending runs, one
+    per parent row that feeds it, so its sort is near-linear.  Two children
+    on one (x, y) overlap, and no caller returns a wall that overlaps, so x
+    orders a row as (x, type_id) would."""
     table, l1, l2 = rule.substitution_table, rule.lambda1, rule.lambda2
-    out = []
+    filed = defaultdict(list)
     for t, x, y, _, _ in rows:
         thresholds, options = table[t]
         children = (options[bisect.bisect_right(thresholds, rng.next_u64())]
                     if thresholds else options[0])
         ax, ay = l1 * x, l2 * y
         for c, dx, dy, w, h in children:
-            out.append((c, ax + dx, ay + dy, w, h))
-    out.sort(key=_ORDER)
+            filed[ay + dy].append((c, ax + dx, ay + dy, w, h))
+    out = []
+    for y in sorted(filed):
+        row = filed[y]
+        row.sort(key=_X)
+        out += row
     return tuple(out)
 
 

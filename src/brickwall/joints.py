@@ -40,18 +40,33 @@ def _edge_segments(bricks) -> Dict[int, List[int]]:
     """Merged vertical edge runs per abscissa, exterior included, each as a
     flat list y0, y1, y0, y1, ... of disjoint runs from the bottom up.
     Touching edges merge.  One pass over bricks in y order: a Pattern's
-    rows, or an image's bricks from _image_bricks."""
+    rows, or an image's bricks from _image_bricks.  A brick whose left edge
+    starts at the x and y where the previous brick's right edge started,
+    as in most rows of a wall, shares that edge: it was just merged into
+    the last run of that x, so the brick only raises that run's top."""
     runs: Dict[int, List[int]] = {}
+    px = py = run = None  # the previous right edge's x and y0, and its runs
     for _, x0, y0, w, h in bricks:
         y1 = y0 + h
-        for x in (x0, x0 + w):
-            run = runs.get(x)
+        if x0 == px and y0 == py:
+            if y1 > run[-1]:
+                run[-1] = y1
+        else:
+            run = runs.get(x0)
             if run is None:
-                runs[x] = [y0, y1]
+                runs[x0] = [y0, y1]
             elif y0 > run[-1]:
                 run += (y0, y1)
             elif y1 > run[-1]:
                 run[-1] = y1
+        px, py = x0 + w, y0
+        run = runs.get(px)
+        if run is None:
+            runs[px] = run = [y0, y1]
+        elif y0 > run[-1]:
+            run += (y0, y1)
+        elif y1 > run[-1]:
+            run[-1] = y1
     return runs
 
 

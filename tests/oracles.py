@@ -2,11 +2,14 @@
 
 These recompute results along a different route than the library:
 joints and crossings by rasterizing into unit cells, eigenvectors by
-exact rational elimination.  Slow and simple on purpose.
+exact rational elimination, a substitution step by one sort of the whole
+level.  Slow and simple on purpose.
 """
 
+import bisect
 from fractions import Fraction
 
+from brickwall.generate import _ORDER
 from brickwall.joints import _edge_segments
 
 
@@ -66,6 +69,21 @@ def rasterized_crossing(bricks):
     return any(crosses(x, y0, y1)
                for x, run in _edge_segments(bricks).items()
                for y0, y1 in zip(run[::2], run[1::2]))
+
+
+def sorted_substitution_step(rule, rows, rng):
+    """One substitution step: every child in draw order, one draw per
+    parent with options in the order of rows, then one sort of the whole
+    level by (y, x, type_id)."""
+    out = []
+    for t, x, y, _, _ in rows:
+        thresholds, options = rule.substitution_table[t]
+        children = (options[bisect.bisect_right(thresholds, rng.next_u64())]
+                    if thresholds else options[0])
+        for c, dx, dy, w, h in children:
+            out.append((c, rule.lambda1 * x + dx, rule.lambda2 * y + dy, w, h))
+    out.sort(key=_ORDER)
+    return tuple(out)
 
 
 def exact_left_eigenvector(entries, lam):

@@ -15,7 +15,8 @@ from brickwall import (Brick, OverlapError, Pattern, RuleError,
                        parse_rule, ptm_oracle, render_grid, sample_vmax,
                        substitute_once, to_svg, vertical_joints)
 from brickwall.builtins import builtin_names
-from brickwall.generate import MAX_BRICKS, levels
+from brickwall.generate import MAX_BRICKS, _substitute_bricks, levels
+from oracles import sorted_substitution_step
 
 SIGMA3_B22_IMAGE = {
     ("B21", -1, 0), ("B22", 1, 0), ("B11", 0, 1), ("B11", 3, 1),
@@ -211,6 +212,34 @@ def test_substitution_table_built_once_per_bound_rule(monkeypatch):
     assert [rule.images["B22"][1].probability.value for rule in built] == \
         [Fraction(1, 3), Fraction(1, 2)]
     assert "substitution_table" not in vars(pp)
+
+
+# child rows 2y - 2 .. 2y + 5 of parent row y: each child row takes
+# children from three parent rows.  Each parent's children fill distinct
+# cells mod (3, 2), so no two bricks of a wall overlap
+SPREAD_RULE = ("rule spread\nengine geometric\nexpansion 3 2\n"
+               "brick A 1 1\nbrick B 1 1\n"
+               "image A { A @ 0 -2 ; B @ 1 0 ; A @ 2 4 ;"
+               " B @ 0 5 ; A @ 1 1 ; B @ 2 3 }\n"
+               "image B { B @ 0 -2 ; B @ 1 0 ; A @ 2 4 ;"
+               " A @ 0 5 ; B @ 1 1 ; A @ 2 3 }\nend\n")
+
+
+@pytest.mark.parametrize("name, p", [
+    *((name, None) for name in builtin_names()
+      if builtin(name).engine == "geometric" and name != "random_pp"),
+    ("random_pp", Fraction(3, 10)), ("random_pp", Fraction(1, 2)),
+    ("spread", None),
+])
+def test_filed_step_equals_the_sorted_step(name, p):
+    rule = parse_rule(SPREAD_RULE) if name == "spread" else builtin(name, p=p)
+    for seed_type in rule.type_ids:
+        for rng_seed in (1, 7) if rule.is_random else (None,):
+            for wall in levels(rule, seed_type, 4, rng_seed):
+                rngs = [SplitMix64(wall.level) for _ in range(2)]
+                assert _substitute_bricks(rule, wall.rows, rngs[0]) == \
+                    sorted_substitution_step(rule, wall.rows, rngs[1])
+                assert rngs[0].state == rngs[1].state  # the same draws
 
 
 @given(seed=st.integers(0, 2 ** 64 - 1))

@@ -190,6 +190,23 @@ def _overlap_free_bricks(draw):
     return _pattern(bricks).bricks
 
 
+@settings(deadline=None)
+@given(bricks=_overlap_free_bricks())
+# row neighbours that share an edge: the left one taller, the right one
+# taller, equal heights
+@example(bricks=(Brick("A", 0, 0, 1, 3), Brick("A", 1, 0, 1, 1)))
+@example(bricks=(Brick("A", 0, 0, 1, 1), Brick("A", 1, 0, 1, 3)))
+@example(bricks=(Brick("A", 0, 0, 2, 2), Brick("A", 2, 0, 1, 2),
+                 Brick("A", 0, 2, 3, 1)))
+# a neighbour on the same x from a higher y0, and a gap within a row
+@example(bricks=(Brick("A", 0, 0, 1, 1), Brick("A", 1, 2, 1, 1)))
+@example(bricks=(Brick("A", 0, 0, 1, 2), Brick("A", 2, 0, 1, 1),
+                 Brick("A", 1, 1, 1, 2)))
+def test_joints_match_raster_on_mixed_heights(bricks):
+    pat = _pattern(bricks)
+    assert sorted(vertical_joints(pat).joints) == rasterized_joints(pat)
+
+
 def _builtin_crossing_inputs():
     """Every builtin image option, and every level-1 block wall."""
     for name in BUILTIN_SOURCES:

@@ -310,12 +310,21 @@ def test_cli_count_at_the_digit_limit(tmp_path, n, realizations):
     code, stdout, _ = run("count", "--rule", str(path), "--seed-brick", "A",
                           "-n", str(n))
     assert (code, stdout) == (0, f"bricks: 1\nrealizations: {realizations}\n")
+    # a lifted limit reads as Python's default, so the form stays the same
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert run("count", "--rule", str(path), "--seed-brick", "A",
+                   "-n", str(n))[:2] == (code, stdout)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @pytest.mark.parametrize("rule, n, code, out", [
     ("random_self_similar", 18, 0,
      "bricks: 103079215104\nrealizations: 2^34359738367\n"),
     ("sigma3", 1000000, 2, ""),
+    ("sigma3", 7142, 2, ""),  # passes the area bound; 4301 digits
 ])
 def test_cli_count_with_the_digit_limit_lifted(rule, n, code, out):
     # PYTHONINTMAXSTRDIGITS=0 lifts the limit; count keeps Python's default,
@@ -438,7 +447,7 @@ def test_cli_analyze_invalid_rule_file(tmp_path):
     (("analyze", "--rule", ".", "--seed-brick", "A", "-n", "1"),
      "cannot read rule file '.'"),
     # refused from the area bound before counting, so -n 1000000 returns
-    # at once; at -n 7142 the bound falls just short and str() refuses
+    # at once; at -n 7142 the bound falls just short and the count refuses
     (("count", "--rule", "sigma3", "--seed-brick", "B22", "-n", "7200"),
      f"-n 7200: the brick count has more than {sys.get_int_max_str_digits()}"
      " digits"),
