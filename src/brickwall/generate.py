@@ -11,11 +11,10 @@ from __future__ import annotations
 import bisect
 import re
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from operator import itemgetter
-from typing import Iterable, Iterator, List, Optional, Tuple
+from operator import attrgetter, itemgetter
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from .rng import SplitMix64
 from .rules import Brick, RuleError, SubstitutionRule
@@ -29,9 +28,8 @@ class OverlapError(RuleError):
     """Two bricks overlap; the rule is not a valid tiling substitution."""
 
 
-@dataclass(frozen=True, init=False)
 class Pattern:
-    """A wall: its bricks and how it was made.
+    """A wall: its bricks and how it was made; equal when every field is.
 
     rows holds the bricks as plain (type_id, x, y, width, height) tuples,
     always in _ORDER, (y, x, type_id): Pattern(...) takes bricks or tuples
@@ -39,23 +37,27 @@ class Pattern:
     draws and every output take one pass over the rows in that order;
     bricks is the same wall as Brick records, built on first read."""
 
-    rule_name: str
-    level: int
-    seed_type: Optional[str]
-    rng_seed: Optional[int]
-    rows: Tuple[Tuple[str, int, int, int, int], ...]
-
     def __init__(self, rule_name, level, seed_type, rng_seed, bricks):
-        vars(self).update(rule_name=rule_name, level=level, seed_type=seed_type,
-                          rng_seed=rng_seed,
-                          rows=tuple(sorted(map(tuple, bricks), key=_ORDER)))
+        self.rule_name, self.level = rule_name, level
+        self.seed_type, self.rng_seed = seed_type, rng_seed
+        self.rows = tuple(sorted(map(tuple, bricks), key=_ORDER))
 
     @classmethod
     def _of_rows(cls, rule_name, level, seed_type, rng_seed, rows):
         """A Pattern of rows the engine built in _ORDER: no sort, no copy."""
-        pattern = cls(rule_name, level, seed_type, rng_seed, ())
-        vars(pattern)["rows"] = rows
+        pattern = cls.__new__(cls)
+        pattern.rule_name, pattern.level = rule_name, level
+        pattern.seed_type, pattern.rng_seed = seed_type, rng_seed
+        pattern.rows = rows
         return pattern
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _FIELDS(self) == _FIELDS(other)
+
+    def __hash__(self):
+        return hash(_FIELDS(self))
 
     @cached_property
     def bricks(self) -> Tuple[Brick, ...]:
@@ -86,8 +88,7 @@ class Pattern:
         return min_x, min_y, max_x, max_y
 
 
-@dataclass(frozen=True)
-class LetterGrid:
+class LetterGrid(NamedTuple):
     """Rows (bottom-to-top) of letter ids; lambda1^n x lambda2^n from one seed."""
 
     rows: Tuple[Tuple[str, ...], ...]
@@ -97,6 +98,7 @@ class LetterGrid:
 
 _ORDER = itemgetter(2, 1, 0)  # wall order, (y, x, type_id): draws and outputs
 _X = itemgetter(1)  # a brick's x, which orders one row of a wall
+_FIELDS = attrgetter("rule_name", "level", "seed_type", "rng_seed", "rows")
 
 
 def check_no_overlap(bricks: Iterable[Brick]) -> None:
@@ -119,8 +121,7 @@ def check_no_overlap(bricks: Iterable[Brick]) -> None:
         active.insert(i, (y0, y1))
 
 
-@dataclass(frozen=True)
-class OverlapCertificate:
+class OverlapCertificate(NamedTuple):
     """Whether any wall iterate builds from any seed can contain an overlap.
 
     verdict is "certified" (never), "overlap" or "undecided".  For

@@ -9,18 +9,16 @@ edge intervals merge: mortar interrupted by nothing is continuous mortar.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import repeat
 from operator import sub
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from .generate import _ORDER, Pattern, generate_pattern, levels
 from .rules import RuleError, SubstitutionRule
 
 
-@dataclass(frozen=True)
-class JointReport:
+class JointReport(NamedTuple):
     v_max: int
     # (x, y0, y1): mortar on the line x from y0 to y1; by x, then upward
     joints: Tuple[Tuple[int, int, int], ...]
@@ -137,8 +135,7 @@ def prop2_bound(rule: SubstitutionRule) -> int:
     return 2 * j_star * (rule.lambda2 - 1)
 
 
-@dataclass(frozen=True)
-class Prop2Verdict:
+class Prop2Verdict(NamedTuple):
     rule_name: str
     crossings: Mapping[str, bool]
     hypothesis_holds: Optional[bool]
@@ -205,4 +202,4 @@ def empirical_frequencies(pattern: Pattern, rule: SubstitutionRule
 def report_with_crossings(report: JointReport, rule: SubstitutionRule) -> JointReport:
     """Attach per-type crossing verdicts to a joint report."""
     crossings = {tid: has_crossing(rule, tid) for tid in rule.type_ids}
-    return replace(report, crossings=crossings)
+    return report._replace(crossings=crossings)

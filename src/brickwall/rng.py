@@ -13,10 +13,13 @@ _MIX2 = 0x94D049BB133111EB
 
 
 class SplitMix64:
-    """Classic SplitMix64 stream; one next_u64() per random choice."""
+    """Classic SplitMix64 stream; one next_u64() per random choice.  The
+    seed is the initial state, so it must lie in [0, 2**64)."""
 
     def __init__(self, seed: int):
-        self.state = seed & MASK64
+        if not 0 <= seed <= MASK64:
+            raise ValueError(f"rng seed {seed} outside [0, 2**64)")
+        self.state = seed
 
     def next_u64(self) -> int:
         self.state = (self.state + _GAMMA) & MASK64

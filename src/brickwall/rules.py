@@ -10,17 +10,19 @@ separately.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
+from operator import attrgetter
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 # default fill colors (warm masonry tones), cycled in declaration order
 PALETTE = ("#ff9900", "#cc6633", "#c57339", "#ff8000", "#b3b3ff", "#6d6d93")
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_RULE_FIELDS = attrgetter("name", "engine", "lambda1", "lambda2", "skew",
+                          "types", "images", "blocks")  # all but unbound
 
 
 class RuleError(ValueError):
@@ -49,8 +51,7 @@ class RuleValidationError(RuleError):
         super().__init__("invalid rule: " + "; ".join(self.diagnostics))
 
 
-@dataclass(frozen=True)
-class Prob:
+class Prob(NamedTuple):
     """Exact probability, possibly linear in the coin parameter: const + coeff*p."""
 
     const: Fraction
@@ -79,8 +80,7 @@ class Prob:
         return f"{self.const} + {self.coeff}*p"
 
 
-@dataclass(frozen=True)
-class BrickType:
+class BrickType(NamedTuple):
     id: str
     width: int
     height: int
@@ -103,27 +103,30 @@ class Brick(NamedTuple):
     height: int
 
 
-@dataclass(frozen=True)
-class ImageOption:
+class ImageOption(NamedTuple):
     probability: Prob
     placements: Tuple[Brick, ...]  # in source order
 
 
-@dataclass(frozen=True)
 class SubstitutionRule:
-    name: str
-    engine: str  # "geometric" or "block"
-    lambda1: int
-    lambda2: int
-    skew: int
-    types: Tuple[BrickType, ...]
-    images: Mapping[str, Tuple[ImageOption, ...]]
-    # block image per letter: lambda2 rows (bottom-to-top) of lambda1 ids
-    blocks: Mapping[str, Tuple[Tuple[str, ...], ...]]
-    # the rule bind() made this one from; it shares the overlap certificate
-    # and the growth bounds
-    unbound: Optional["SubstitutionRule"] = field(default=None, repr=False,
-                                                  compare=False)
+    """A rule; equal to another when every field but unbound is, and
+    unhashable, since images and blocks are dicts."""
+
+    def __init__(self, name, engine, lambda1, lambda2, skew, types, images,
+                 blocks, unbound=None):
+        self.name, self.engine = name, engine  # "geometric" or "block"
+        self.lambda1, self.lambda2, self.skew = lambda1, lambda2, skew
+        # the BrickTypes; per type id, the tuple of its ImageOptions
+        self.types, self.images = types, images
+        # block image per letter: lambda2 rows (bottom-to-top) of lambda1 ids
+        self.blocks = blocks
+        # bind()'s source: it shares the overlap certificate and growth bounds
+        self.unbound = unbound
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _RULE_FIELDS(self) == _RULE_FIELDS(other)
 
     @property
     def type_ids(self) -> Tuple[str, ...]:

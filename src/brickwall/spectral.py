@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .rules import RuleError, SubstitutionRule
 
@@ -22,8 +21,7 @@ _TOL = 1e-9
 _MAX_ITER = 100_000
 
 
-@dataclass(frozen=True)
-class SubstitutionMatrix:
+class SubstitutionMatrix(NamedTuple):
     type_order: Tuple[str, ...]
     entries: Tuple[Tuple[Fraction, ...], ...]
     # right eigenvector data for the exact identity M*v = expansion*v;

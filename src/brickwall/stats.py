@@ -8,9 +8,8 @@ trial order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Tuple
+from typing import Dict, NamedTuple, Tuple
 
 from .generate import iterate
 from .joints import vertical_joints
@@ -18,8 +17,7 @@ from .rng import derive_seed
 from .rules import RuleError, SubstitutionRule
 
 
-@dataclass(frozen=True)
-class VmaxStats:
+class VmaxStats(NamedTuple):
     p: Fraction
     n: int
     trials: int

@@ -248,7 +248,8 @@ def test_random_iterate_deterministic_and_area(seed):
     rule = builtin("random_self_similar")
     a = iterate(rule, "B22", 2, rng_seed=seed)
     b = iterate(rule, "B22", 2, rng_seed=seed)
-    assert a == b
+    assert a == b and hash(a) == hash(b)
+    assert a != Pattern(a.rule_name, a.level, a.seed_type, seed ^ 1, a.rows)
     assert len(a.bricks) == 24  # brick count independent of seed
     assert a.area == 16 * 4  # (lambda1*lambda2)^2 * area(B22)
 

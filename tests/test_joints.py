@@ -306,7 +306,9 @@ def test_check_prop2_rejects_random():
 
 def test_report_with_crossings_payload():
     rule = builtin("sigma3")
-    rep = report_with_crossings(vertical_joints(iterate(rule, "B22", 2)), rule)
+    bare = vertical_joints(iterate(rule, "B22", 2))
+    rep = report_with_crossings(bare, rule)
+    assert bare.crossings is None and rep == bare._replace(crossings=rep.crossings)
     data = rep.to_json()
     assert data["v_max"] == 4
     assert data["crossings"] == {"B11": False, "B21": True, "B22": False}

@@ -488,6 +488,26 @@ def test_cli_failed_generate_writes_nothing(tmp_path):
     assert not (tmp_path / "missing").exists()
 
 
+@pytest.mark.parametrize("seed, ok", [(-1, False), (0, True),
+                                      (2 ** 64 - 1, True), (2 ** 64, False)])
+@pytest.mark.parametrize("command", ["generate", "analyze", "sample"])
+def test_cli_rng_seed_range(tmp_path, command, seed, ok):
+    # a seed outside [0, 2**64) would alias one inside it (-5 would make
+    # the wall of 2**64 - 5), so it is refused before anything is written
+    out = tmp_path / "w.txt"
+    argv = [command, "--rule", "random_pp", "--seed-brick", "B22", "-n", "2",
+            "-p", "1/2", "--rng-seed", str(seed)]
+    argv += {"generate": ["--out", str(out)], "analyze": [],
+             "sample": ["--trials", "3"]}[command]
+    code, stdout, stderr = run(*argv)
+    if ok:
+        assert (code, stderr) == (0, "")
+    else:
+        assert (code, stdout) == (2, "")
+        assert stderr == f"error: rng seed {seed} outside [0, 2**64)\n"
+    assert out.exists() == (ok and command == "generate")
+
+
 def test_cli_module_entry_point(tmp_path):
     res = subprocess.run(
         [sys.executable, "-m", "brickwall.cli", "validate", "--rule", "ptm"],
@@ -496,11 +516,13 @@ def test_cli_module_entry_point(tmp_path):
     assert res.stdout.startswith("ok: rule 'ptm'")
 
 
-def test_cli_import_leaves_numpy_out():
-    # only the float spectrum imports numpy, inside spectral
+@pytest.mark.parametrize("module", ["numpy", "dataclasses"])
+def test_cli_import_leaves_module_out(module):
+    # only the float spectrum imports numpy, inside spectral; dataclasses
+    # (with inspect and tokenize) would cost every process its import
     res = subprocess.run(
         [sys.executable, "-c",
-         "import sys, brickwall.cli; print('numpy' in sys.modules)"],
+         f"import sys, brickwall.cli; print({module!r} in sys.modules)"],
         capture_output=True, text=True, check=True)
     assert res.stdout == "False\n"
 

@@ -262,6 +262,12 @@ def test_bind_random_pp():
         # the probability-1 option is the all-B22 one
         chosen = sure.images[tid][1]
         assert {pl.type_id for pl in chosen.placements} == {"B22"}
+    # equality ignores the rule a bound one came from; a rule is unhashable
+    again = builtin("random_pp").bind(Fraction(1, 2))
+    assert again.unbound is not half.unbound
+    assert again == half and again != sure
+    with pytest.raises(TypeError):
+        hash(half)
 
 
 def test_bind_errors():

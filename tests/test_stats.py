@@ -22,6 +22,18 @@ def test_splitmix64_is_64_bit():
         assert 0 <= rng.next_u64() < 2 ** 64
 
 
+@pytest.mark.parametrize("seed", [-1, 0, 2 ** 64 - 1, 2 ** 64])
+def test_splitmix64_seed_range(seed):
+    # the seed is the state: one outside 64 bits would alias one inside
+    if 0 <= seed < 2 ** 64:
+        assert SplitMix64(seed).state == seed
+        return
+    with pytest.raises(ValueError, match=r"outside \[0, 2\*\*64\)"):
+        SplitMix64(seed)
+    with pytest.raises(ValueError):
+        derive_seed(seed, 0)
+
+
 def test_derive_seed():
     assert derive_seed(0, 0) == SPLITMIX64_SEED0[0]
     assert derive_seed(0, 1) == SplitMix64(1).next_u64()
