@@ -93,10 +93,6 @@ BUILTIN_SOURCES = {
 }
 
 
-def builtin_names():
-    return tuple(BUILTIN_SOURCES)
-
-
 def builtin(name: str, p: Optional[Fraction] = None) -> SubstitutionRule:
     """Return a built-in rule by name, optionally binding the parameter p."""
     try:

@@ -2,9 +2,10 @@
 
 Subcommands: generate, analyze, validate, spectrum, count, sample.
 Exit codes: 0 ok, 1 rule diagnostics (invalid rule, overlap), 2 usage and
-I/O errors (unknown rule or brick, malformed flags, a count -n too large
-to print, unreadable --rule, unwritable --out, stdout closed by its
-reader).  Error paths never write to --out.
+I/O errors (unknown rule or brick, malformed flags, an --rng-seed outside
+[0, 2**64) for any rule, a count -n too large to print, unreadable
+--rule, unwritable --out, stdout closed by its reader).  Error paths never
+write to --out.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from fractions import Fraction
 from .builtins import BUILTIN_SOURCES
 from .generate import format_pattern, generate_pattern
 from .joints import analyze
+from .rng import check_rng_seed
 from .rules import RuleError, RuleSyntaxError, RuleValidationError, parse_rule
 from .spectral import brick_frequencies, count_bricks, matrix, pf_eigenvalue, \
     realization_factors
@@ -76,7 +78,9 @@ def _check_seed(rule, seed_type):
 def _prepared(args):
     rule = _bind_p(_load_rule(args.rule), args.p)
     _check_seed(rule, args.seed_brick)
-    if rule.is_random and args.rng_seed is None:
+    if args.rng_seed is not None:  # one range for every rule, drawn from or not
+        check_rng_seed(args.rng_seed)
+    elif rule.is_random:
         raise CliError(2, f"rule '{rule.name}' is random; --rng-seed is required")
     return rule
 
@@ -159,12 +163,20 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
+def _digit_limit():
+    """The interpreter's int-to-str digit limit and whose it is; a lifted
+    limit (0) reads as Python's default."""
+    limit = sys.get_int_max_str_digits()
+    if limit:
+        return limit, "the interpreter's"
+    return sys.int_info.default_max_str_digits, "Python's default"
+
+
 def _exact_str(factors) -> str:
     """prod(p ** e) in decimal, or as 'p^e * ...' when the decimal has more
-    digits than the interpreter's int-to-str limit allows; the exponents
-    tell, so a product far over the limit is never built.  A lifted limit
-    (0) reads as Python's default."""
-    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    digits than _digit_limit() allows; the exponents tell, so a product far
+    over the limit is never built."""
+    limit, _ = _digit_limit()
     log10 = sum(e * math.log10(p) for p, e in factors.items())
     if log10 < limit + 1:
         value = math.prod(p ** e for p, e in factors.items())
@@ -178,9 +190,7 @@ def _count_str(rule, seed_type, n) -> str:
     the area identity a level-n wall has at least seed area * (lambda1 *
     lambda2)^n / largest brick area bricks: over the limit, no counting."""
     count_bricks(rule, seed_type, 0)  # an uncountable rule exits 1 at any -n
-    limit = sys.get_int_max_str_digits()  # 0: lifted, so use Python's default
-    source = "the interpreter's" if limit else "Python's default"
-    limit = limit or sys.int_info.default_max_str_digits
+    limit, source = _digit_limit()
     too_long = CliError(2, f"-n {n}: the brick count has more than {limit}"
                            f" digits ({source} int-to-str limit)")
     largest = max(t.area for t in rule.types)

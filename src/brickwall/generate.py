@@ -371,12 +371,6 @@ def generate_pattern(rule: SubstitutionRule, seed_type: str, n: int,
     return iterate(rule, seed_type, n, rng_seed)
 
 
-def ptm_oracle(i: int, j: int) -> str:
-    """Letter of the 2D Prouhet-Thue-Morse array at column i, row j:
-    parity of binary digit sums, XORed."""
-    return "1" if (bin(i).count("1") + bin(j).count("1")) % 2 else "0"
-
-
 # ---------------------------------------------------------------------------
 # pattern text format: header line, then one `type_id x y width height` per
 # line, sorted by (y, x)

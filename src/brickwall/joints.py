@@ -8,8 +8,6 @@ edge intervals merge: mortar interrupted by nothing is continuous mortar.
 
 from __future__ import annotations
 
-from collections import Counter
-from fractions import Fraction
 from itertools import repeat
 from operator import sub
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
@@ -82,12 +80,6 @@ def vertical_joints(pattern: Pattern) -> JointReport:
         joints += zip(repeat(x), y0s, y1s)
         v_max = max(v_max, max(map(sub, y1s, y0s)))
     return JointReport(v_max, tuple(joints), pattern)
-
-
-def v_max_at(rule: SubstitutionRule, seed_type: str, n: int,
-             rng_seed: Optional[int] = None) -> int:
-    """v_max of the n-th image of the seed brick (block rules included)."""
-    return vertical_joints(generate_pattern(rule, seed_type, n, rng_seed)).v_max
 
 
 def _image_bricks(rule: SubstitutionRule, opt):
@@ -186,17 +178,6 @@ def analyze(rule: SubstitutionRule, seed_type: str, n: int,
     respected = (measured <= bound) if hypothesis else True  # vacuous otherwise
     return report, Prop2Verdict(rule.name, report.crossings, hypothesis, bound,
                                 measured, respected)
-
-
-def empirical_frequencies(pattern: Pattern, rule: SubstitutionRule
-                          ) -> Dict[str, Fraction]:
-    """Brick-count share per type, in the rule's type order, zero-count
-    types included."""
-    if not pattern.rows:
-        raise ValueError("empty pattern has no frequencies")
-    counts = Counter(t for t, _, _, _, _ in pattern.rows)
-    total = len(pattern.rows)
-    return {tid: Fraction(counts[tid], total) for tid in rule.type_ids}
 
 
 def report_with_crossings(report: JointReport, rule: SubstitutionRule) -> JointReport:

@@ -12,14 +12,20 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
+def check_rng_seed(seed: int) -> int:
+    """The seed, if it can be a SplitMix64 state; ValueError if it lies
+    outside [0, 2**64), where it would alias a seed inside."""
+    if not 0 <= seed <= MASK64:
+        raise ValueError(f"rng seed {seed} outside [0, 2**64)")
+    return seed
+
+
 class SplitMix64:
     """Classic SplitMix64 stream; one next_u64() per random choice.  The
-    seed is the initial state, so it must lie in [0, 2**64)."""
+    seed is the initial state."""
 
     def __init__(self, seed: int):
-        if not 0 <= seed <= MASK64:
-            raise ValueError(f"rng seed {seed} outside [0, 2**64)")
-        self.state = seed
+        self.state = check_rng_seed(seed)
 
     def next_u64(self) -> int:
         self.state = (self.state + _GAMMA) & MASK64

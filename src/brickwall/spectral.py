@@ -124,30 +124,6 @@ def brick_frequencies(M: SubstitutionMatrix) -> Tuple[float, ...]:
     return tuple(float(v) / total for v in vec)
 
 
-def _matmul(a, b):
-    size = len(a)
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(size))
-                       for j in range(size))
-                 for i in range(size))
-
-
-def matrix_power(M: SubstitutionMatrix, n: int) -> SubstitutionMatrix:
-    """Exact M**n by repeated squaring; n = 0 gives the identity."""
-    if n < 0:
-        raise ValueError("matrix_power needs n >= 0")
-    size = M.size
-    result = tuple(tuple(Fraction(1 if i == j else 0) for j in range(size))
-                   for i in range(size))
-    base = M.entries
-    e = n
-    while e:
-        if e & 1:
-            result = _matmul(result, base)
-        base = _matmul(base, base)
-        e >>= 1
-    return SubstitutionMatrix(M.type_order, result, M.areas, M.expansion ** n)
-
-
 def _count_vectors(rule: SubstitutionRule):
     """Integer count vector per type plus option counts; refuses rules whose
     option choice changes the counts (the level populations are then random
@@ -173,6 +149,8 @@ def _level_counts(rule: SubstitutionRule, rows, seed_type: str, n: int):
     """The seed's count vector v_n after n steps of rows, and the sum of v_m
     over m < n.  Under unit expansion the area is fixed, so the vectors
     repeat: at the first repeat, all whole periods left are skipped."""
+    if n < 0:
+        raise ValueError(f"depth must be >= 0, got {n}")
     v = _seed_vector(rule, seed_type)
     total, m, seen = [0] * len(v), 0, {}
     while m < n:
@@ -192,8 +170,6 @@ def _level_counts(rule: SubstitutionRule, rows, seed_type: str, n: int):
 
 def count_bricks(rule: SubstitutionRule, seed_type: str, n: int) -> int:
     """Exact number of bricks in the n-th image of the seed."""
-    if n < 0:
-        raise ValueError("count_bricks needs n >= 0")
     return sum(_level_counts(rule, _count_vectors(rule)[0], seed_type, n)[0])
 
 
@@ -236,8 +212,6 @@ def realization_factors(rule: SubstitutionRule, seed_type: str,
                         n: int) -> Dict[int, int]:
     """count_realizations as {prime: exponent}, which stays small when the
     count itself has more digits than Python will print."""
-    if n < 0:
-        raise ValueError("count_realizations needs n >= 0")
     rows, ks = _count_vectors(rule)
     _, total = _level_counts(rule, rows, seed_type, n)
     exponents: Dict[int, int] = {}

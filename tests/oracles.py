@@ -3,12 +3,16 @@
 These recompute results along a different route than the library:
 joints and crossings by rasterizing into unit cells, eigenvectors by
 exact rational elimination, a substitution step by one sort of the whole
-level.  Slow and simple on purpose.
+level, matrix powers by repeated squaring, the parity wall from binary
+digit sums, frequencies by counting the bricks of a wall.  Slow and simple
+on purpose.
 """
 
 import bisect
+from collections import Counter
 from fractions import Fraction
 
+from brickwall import SubstitutionMatrix
 from brickwall.generate import _ORDER
 from brickwall.joints import _edge_segments
 
@@ -116,3 +120,43 @@ def exact_left_eigenvector(entries, lam):
         u[c] = -a[r][free[0]]
     total = sum(u)
     return tuple(v / total for v in u)
+
+
+def _matmul(a, b):
+    size = len(a)
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(size))
+                       for j in range(size))
+                 for i in range(size))
+
+
+def matrix_power(M, n):
+    """Exact M**n by repeated squaring; n = 0 gives the identity."""
+    if n < 0:
+        raise ValueError("matrix_power needs n >= 0")
+    size = M.size
+    result = tuple(tuple(Fraction(1 if i == j else 0) for j in range(size))
+                   for i in range(size))
+    base = M.entries
+    e = n
+    while e:
+        if e & 1:
+            result = _matmul(result, base)
+        base = _matmul(base, base)
+        e >>= 1
+    return SubstitutionMatrix(M.type_order, result, M.areas, M.expansion ** n)
+
+
+def ptm_oracle(i, j):
+    """Letter of the 2D Prouhet-Thue-Morse array at column i, row j:
+    parity of binary digit sums, XORed."""
+    return "1" if (bin(i).count("1") + bin(j).count("1")) % 2 else "0"
+
+
+def empirical_frequencies(pattern, rule):
+    """Brick-count share per type, in the rule's type order, zero-count
+    types included."""
+    if not pattern.rows:
+        raise ValueError("empty pattern has no frequencies")
+    counts = Counter(t for t, _, _, _, _ in pattern.rows)
+    total = len(pattern.rows)
+    return {tid: Fraction(counts[tid], total) for tid in rule.type_ids}

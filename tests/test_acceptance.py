@@ -9,11 +9,11 @@ from fractions import Fraction
 
 from brickwall import (assert_area_eigenvector, brick_frequencies, builtin,
                        check_no_overlap, count_bricks, count_realizations,
-                       crossing_options, empirical_frequencies,
-                       generate_pattern, iterate, iterate_block, matrix,
-                       matrix_power, pf_eigenvalue, prop2_bound, ptm_oracle,
-                       sample_vmax, v_max_at, vertical_joints)
-from oracles import exact_left_eigenvector, rasterized_joints
+                       crossing_options, generate_pattern, iterate,
+                       iterate_block, matrix, pf_eigenvalue, prop2_bound,
+                       sample_vmax, vertical_joints)
+from oracles import (empirical_frequencies, exact_left_eigenvector,
+                     matrix_power, ptm_oracle, rasterized_joints)
 
 ALL_BUILTINS = ("ptm", "ptm_skewed", "sigma3", "rows23",
                 "random_self_similar", "random_pp")
@@ -24,6 +24,10 @@ def _report(num: int, ok: bool, detail: str) -> None:
     assert ok, detail
 
 
+def _v_max(rule, seed_type, n):
+    return vertical_joints(generate_pattern(rule, seed_type, n)).v_max
+
+
 def _bound(name, p=Fraction(1, 2)):
     rule = builtin(name)
     return rule.bind(p) if rule.is_parametric else rule
@@ -31,7 +35,7 @@ def _bound(name, p=Fraction(1, 2)):
 
 def test_c01_three_brick_joint_lengths():
     rule = builtin("sigma3")
-    got = {(seed, n): v_max_at(rule, seed, n)
+    got = {(seed, n): _v_max(rule, seed, n)
            for seed, n in (("B11", 1), ("B21", 1), ("B22", 1), ("B22", 3))}
     want = {("B11", 1): 1, ("B21", 1): 2, ("B22", 1): 3, ("B22", 3): 11}
     _report(1, got == want,
@@ -50,7 +54,7 @@ def test_c02_three_brick_crossings():
 
 def test_c03_skew_keeps_joints_short():
     skewed = builtin("ptm_skewed")
-    vals = {seed: [v_max_at(skewed, seed, n) for n in range(1, 7)]
+    vals = {seed: [_v_max(skewed, seed, n) for n in range(1, 7)]
             for seed in skewed.type_ids}
     bounded = all(v <= 2 for seq in vals.values() for v in seq)
     flat = builtin("ptm")
@@ -68,7 +72,7 @@ def test_c04_rows23_bound_achieved():
     crossings = {tid: any(crossing_options(rule, tid))
                  for tid in rule.type_ids}
     bound = prop2_bound(rule)
-    per_seed = {seed: [v_max_at(rule, seed, n) for n in range(1, 6)]
+    per_seed = {seed: [_v_max(rule, seed, n) for n in range(1, 6)]
                 for seed in rule.type_ids}
     measured = max(max(seq) for seq in per_seed.values())
     ok = (not any(crossings.values())) and bound == 4 and measured == 3

@@ -8,15 +8,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import brickwall.generate
-from brickwall import (Brick, OverlapError, Pattern, RuleError,
-                       SplitMix64, builtin, check_no_overlap, count_bricks,
-                       format_pattern, generate_pattern, iterate,
-                       iterate_block, overlap_certificate, parse_pattern,
-                       parse_rule, ptm_oracle, render_grid, sample_vmax,
+from brickwall import (BUILTIN_SOURCES, Brick, OverlapError, Pattern,
+                       RuleError, SplitMix64, builtin, check_no_overlap,
+                       count_bricks, format_pattern, generate_pattern,
+                       iterate, iterate_block, overlap_certificate,
+                       parse_pattern, parse_rule, render_grid, sample_vmax,
                        substitute_once, to_svg, vertical_joints)
-from brickwall.builtins import builtin_names
 from brickwall.generate import MAX_BRICKS, _substitute_bricks, levels
-from oracles import sorted_substitution_step
+from oracles import ptm_oracle, sorted_substitution_step
 
 SIGMA3_B22_IMAGE = {
     ("B21", -1, 0), ("B22", 1, 0), ("B11", 0, 1), ("B11", 3, 1),
@@ -226,7 +225,7 @@ SPREAD_RULE = ("rule spread\nengine geometric\nexpansion 3 2\n"
 
 
 @pytest.mark.parametrize("name, p", [
-    *((name, None) for name in builtin_names()
+    *((name, None) for name in BUILTIN_SOURCES
       if builtin(name).engine == "geometric" and name != "random_pp"),
     ("random_pp", Fraction(3, 10)), ("random_pp", Fraction(1, 2)),
     ("spread", None),
@@ -527,7 +526,7 @@ def test_outputs_ignore_brick_order(wall, n, order):
 
 
 @pytest.mark.parametrize("name, p", [
-    *((name, None) for name in builtin_names() if name != "random_pp"),
+    *((name, None) for name in BUILTIN_SOURCES if name != "random_pp"),
     *(("random_pp", Fraction(p)) for p in ("0", "1/3", "1/2", "1")),
 ])
 def test_engine_walls_are_in_wall_order(name, p):

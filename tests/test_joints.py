@@ -11,13 +11,13 @@ from hypothesis import example, given, settings, strategies as st
 import brickwall.generate
 import brickwall.joints
 from brickwall import (BUILTIN_SOURCES, Brick, Pattern, builtin,
-                       check_prop2, parse_rule,
-                       crossing_options, empirical_frequencies,
+                       check_prop2, parse_rule, crossing_options,
                        generate_pattern, has_crossing, iterate, prop2_bound,
-                       report_with_crossings, v_max_at, vertical_joints)
+                       report_with_crossings, vertical_joints)
 from brickwall.cli import main
 from brickwall.joints import _bricks_have_crossing, _image_bricks
-from oracles import rasterized_crossing, rasterized_joints
+from oracles import (empirical_frequencies, rasterized_crossing,
+                     rasterized_joints)
 
 
 def _pattern(bricks):
@@ -63,21 +63,25 @@ def test_sigma3_b21_image_joint():
     assert rep.v_max == 2
 
 
+def _v_max(rule, seed_type, n):
+    return vertical_joints(generate_pattern(rule, seed_type, n)).v_max
+
+
 def test_v_max_reference_values():
-    assert v_max_at(builtin("sigma3"), "B11", 1) == 1
-    assert v_max_at(builtin("sigma3"), "B21", 1) == 2
-    assert v_max_at(builtin("sigma3"), "B22", 1) == 3
-    assert v_max_at(builtin("sigma3"), "B22", 3) == 11
+    assert _v_max(builtin("sigma3"), "B11", 1) == 1
+    assert _v_max(builtin("sigma3"), "B21", 1) == 2
+    assert _v_max(builtin("sigma3"), "B22", 1) == 3
+    assert _v_max(builtin("sigma3"), "B22", 3) == 11
 
 
 def test_v_max_monotone_sigma3():
-    vals = [v_max_at(builtin("sigma3"), "B22", n) for n in (1, 2, 3)]
+    vals = [_v_max(builtin("sigma3"), "B22", n) for n in (1, 2, 3)]
     assert vals == [3, 4, 11]
 
 
 def test_v_max_block_dispatch():
-    assert v_max_at(builtin("ptm_skewed"), "0", 4) == 2
-    assert v_max_at(builtin("rows23"), "B21", 3) == 3
+    assert _v_max(builtin("ptm_skewed"), "0", 4) == 2
+    assert _v_max(builtin("rows23"), "B21", 3) == 3
 
 
 def test_joints_disjoint_per_line():

@@ -1,13 +1,17 @@
 """README's library example runs as written and gives the values that its
-comments state."""
+comments state, and every name the library exports has a user."""
 
 import ast
+import json
 import pathlib
 import re
 
 import pytest
 
-README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+import brickwall
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_readme_library_example():
@@ -27,3 +31,23 @@ def test_readme_library_example():
     assert shown["brick_frequencies"] == pytest.approx((5 / 13, 6 / 13, 2 / 13),
                                                        abs=1e-6)
     assert shown["count_realizations"] == 2 ** 127
+
+
+def test_every_export_has_a_user():
+    # a user is code in src/, scripts/ or perfbench/ that names it (its own
+    # definition and the export list do not count), a layer the benchmark
+    # times (BENCHMARK.json's "module.name.unit"), or README
+    used = set()
+    for part in ("src", "scripts", "perfbench"):
+        for path in sorted(ROOT.glob(f"{part}/**/*.py")):
+            if path.name == "__init__.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    used.update(layer["name"].split(".")[1] for layer in benchmark["per_layer"])
+    used.update(re.findall(r"\w+", README.read_text(encoding="utf-8")))
+    assert [name for name in brickwall.__all__ if name not in used] == []

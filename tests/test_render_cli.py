@@ -457,6 +457,8 @@ def test_cli_analyze_invalid_rule_file(tmp_path):
     (("count", "--rule", "sigma3", "--seed-brick", "B22", "-n", "7142"),
      f"-n 7142: the brick count has more than {sys.get_int_max_str_digits()}"
      " digits"),
+    (("count", "--rule", "sigma3", "--seed-brick", "B22", "-n", "-1"),
+     "depth must be >= 0, got -1"),
 ])
 def test_cli_usage_errors_exit_2(argv, fragment):
     code, stdout, stderr = run(*argv)
@@ -490,13 +492,20 @@ def test_cli_failed_generate_writes_nothing(tmp_path):
 
 @pytest.mark.parametrize("seed, ok", [(-1, False), (0, True),
                                       (2 ** 64 - 1, True), (2 ** 64, False)])
-@pytest.mark.parametrize("command", ["generate", "analyze", "sample"])
-def test_cli_rng_seed_range(tmp_path, command, seed, ok):
+@pytest.mark.parametrize("command, rule", [
+    *(pytest.param(c, "random_pp", id=c)
+      for c in ("generate", "analyze", "sample")),
+    ("generate", "sigma3"), ("analyze", "sigma3"),  # deterministic, geometric
+    ("generate", "ptm"), ("analyze", "ptm"),  # block
+])
+def test_cli_rng_seed_range(tmp_path, command, rule, seed, ok):
     # a seed outside [0, 2**64) would alias one inside it (-5 would make
-    # the wall of 2**64 - 5), so it is refused before anything is written
+    # the wall of 2**64 - 5), so it is refused before anything is written;
+    # a rule that draws nothing gets the same verdict
     out = tmp_path / "w.txt"
-    argv = [command, "--rule", "random_pp", "--seed-brick", "B22", "-n", "2",
-            "-p", "1/2", "--rng-seed", str(seed)]
+    argv = [command, "--rule", rule, "--seed-brick",
+            "0" if rule == "ptm" else "B22", "-n", "2", "--rng-seed", str(seed)]
+    argv += ["-p", "1/2"] if rule == "random_pp" else []
     argv += {"generate": ["--out", str(out)], "analyze": [],
              "sample": ["--trials", "3"]}[command]
     code, stdout, stderr = run(*argv)
@@ -506,6 +515,8 @@ def test_cli_rng_seed_range(tmp_path, command, seed, ok):
         assert (code, stdout) == (2, "")
         assert stderr == f"error: rng seed {seed} outside [0, 2**64)\n"
     assert out.exists() == (ok and command == "generate")
+    if out.exists() and rule != "random_pp":  # the wall of no seed
+        assert out.read_text().startswith(f"# rule={rule} n=2 seed=-\n")
 
 
 def test_cli_module_entry_point(tmp_path):

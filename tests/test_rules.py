@@ -5,16 +5,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from brickwall import (Brick, ImageOption, Prob, RuleError, RuleSyntaxError,
-                       RuleValidationError, SubstitutionRule, builtin,
-                       builtin_names, parse_rule, serialize_rule, validate_rule)
+from brickwall import (BUILTIN_SOURCES, Brick, ImageOption, Prob, RuleError,
+                       RuleSyntaxError, RuleValidationError, SubstitutionRule,
+                       builtin, parse_rule, serialize_rule, validate_rule)
 
 ALL_BUILTINS = ("ptm", "ptm_skewed", "sigma3", "rows23",
                 "random_self_similar", "random_pp")
 
 
 def test_builtin_names():
-    assert builtin_names() == ALL_BUILTINS
+    assert tuple(BUILTIN_SOURCES) == ALL_BUILTINS
 
 
 @pytest.mark.parametrize("name", ALL_BUILTINS)

@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 import brickwall.spectral
 from brickwall import (RuleError, SubstitutionMatrix, assert_area_eigenvector,
                        brick_frequencies, builtin, count_bricks,
-                       count_realizations, iterate, matrix, matrix_power,
-                       parse_rule, pf_eigenvalue, sample_vmax)
+                       count_realizations, iterate, matrix, parse_rule,
+                       pf_eigenvalue, sample_vmax)
 from brickwall.spectral import max_bricks, realization_factors
-from oracles import exact_left_eigenvector
+from oracles import exact_left_eigenvector, matrix_power
 
 ALL_BUILTINS = ("ptm", "ptm_skewed", "sigma3", "rows23",
                 "random_self_similar", "random_pp")
@@ -321,7 +321,9 @@ def test_counting_refuses_count_variant_rules():
 
 
 def test_count_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="depth must be >= 0, got -1"):
         count_bricks(builtin("sigma3"), "B22", -1)
+    with pytest.raises(ValueError, match="depth must be >= 0, got -1"):
+        count_realizations(builtin("sigma3"), "B22", -1)
     with pytest.raises(RuleError):
         count_bricks(builtin("sigma3"), "B99", 2)
