@@ -16,7 +16,7 @@ from itertools import accumulate
 from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
-from .rng import SplitMix64
+from .rng import SplitMix64, check_rng_seed
 from .rules import Brick, RuleError, SubstitutionRule
 from .spectral import max_bricks
 
@@ -229,10 +229,11 @@ def _substitute_bricks(rule: SubstitutionRule, rows, rng) -> Tuple[tuple, ...]:
     on one (x, y) overlap, and no caller returns a wall that overlaps, so x
     orders a row as (x, type_id) would."""
     table, l1, l2 = rule.substitution_table, rule.lambda1, rule.lambda2
+    draw = rng.next_u64 if rng is not None else None
     filed = defaultdict(list)
     for t, x, y, _, _ in rows:
         thresholds, options = table[t]
-        children = (options[bisect.bisect_right(thresholds, rng.next_u64())]
+        children = (options[bisect.bisect_right(thresholds, draw())]
                     if thresholds else options[0])
         ax, ay = l1 * x, l2 * y
         for c, dx, dy, w, h in children:
@@ -267,10 +268,11 @@ def _check_brick_types(rule, bricks):
                             f" {w}x{h}, rule says {t.width}x{t.height}")
 
 
-def _walls(rule, seed_type, n, rng_seed):
-    """Check the arguments, then yield the wall of one seed at levels 0..n,
-    each made from the one before by one substitution step: a Pattern for a
-    geometric rule, a LetterGrid for a block rule."""
+def _check_wall(rule, seed_type, n, rng_seed):
+    """Refuse a wall's arguments before any draw: the seed type, the depth,
+    an unbound p, a random rule's rng_seed, then the brick budget.  Returns
+    the seed BrickType and whether a geometric wall's levels are swept for
+    overlaps: only when the rule's overlap certificate is not "certified"."""
     seed = rule.get_type(seed_type)
     if n < 0:
         raise ValueError(f"depth must be >= 0, got {n}")
@@ -278,12 +280,32 @@ def _walls(rule, seed_type, n, rng_seed):
         raise ValueError(f"depth {n} exceeds MAX_DEPTH={MAX_DEPTH}")
     if rule.is_parametric:
         raise RuleError(f"rule '{rule.name}' has unbound parameter p; bind it first")
-    rng = None
     if rule.is_random:
         if rng_seed is None:
             raise RuleError(f"rule '{rule.name}' is random; rng_seed is required")
-        rng = SplitMix64(rng_seed)
+        check_rng_seed(rng_seed)
     _check_budget(rule, seed_type, n)
+    return seed, (n > 0 and rule.engine == "geometric"
+                  and rule.overlap_certificate.verdict != "certified")
+
+
+def _wall_rows(rule, seed, n, rng, sweep):
+    """The rows of a geometric wall at levels 0..n: the seed brick at the
+    origin, then one substitution step per level, swept if sweep is set."""
+    rows = ((seed.id, 0, 0, seed.width, seed.height),)
+    yield rows
+    for _ in range(n):
+        rows = _substitute_bricks(rule, rows, rng)
+        if sweep:
+            check_no_overlap(rows)
+        yield rows
+
+
+def _walls(rule, seed_type, n, rng_seed):
+    """Check the arguments, then yield the wall of one seed at levels 0..n,
+    each made from the one before by one substitution step: a Pattern for a
+    geometric rule, a LetterGrid for a block rule."""
+    seed, sweep = _check_wall(rule, seed_type, n, rng_seed)
     if rule.engine == "block":
         rows = [[seed_type]]
         for level in range(n + 1):
@@ -292,14 +314,9 @@ def _walls(rule, seed_type, n, rng_seed):
                         for row in rows for r in range(rule.lambda2)]
             yield LetterGrid(tuple(map(tuple, rows)), level, seed_type)
         return
-    sweep = n > 0 and rule.overlap_certificate.verdict != "certified"
-    rng_seed = rng_seed if rule.is_random else None
-    rows = ((seed.id, 0, 0, seed.width, seed.height),)
-    for level in range(n + 1):
-        if level:
-            rows = _substitute_bricks(rule, rows, rng)
-            if sweep:
-                check_no_overlap(rows)
+    rng = SplitMix64(rng_seed) if rule.is_random else None
+    rng_seed = rng_seed if rng is not None else None
+    for level, rows in enumerate(_wall_rows(rule, seed, n, rng, sweep)):
         yield Pattern._of_rows(rule.name, level, seed_type, rng_seed, rows)
 
 

@@ -82,6 +82,14 @@ def vertical_joints(pattern: Pattern) -> JointReport:
     return JointReport(v_max, tuple(joints), pattern)
 
 
+def _v_max(rows) -> int:
+    """vertical_joints(pattern).v_max of a wall's rows, without its joints."""
+    runs = _edge_segments(rows)
+    outline = min(runs), max(runs)
+    return max((max(map(sub, run[1::2], run[::2]))
+                for x, run in runs.items() if x not in outline), default=0)
+
+
 def _image_bricks(rule: SubstitutionRule, opt):
     # a rule lists them in any order; a wall holds them in wall order
     return sorted(opt.placements, key=_ORDER)

@@ -1,9 +1,11 @@
 """Monte-Carlo sampling of the random variable V_max(p).
 
-Each trial gets its own derived seed (one SplitMix64 mix of
-base_seed XOR trial index), so runs are reproducible and trials could be
-farmed out in parallel without sharing a stream.  Results are recorded in
-trial order.
+Trial k is the wall iterate(rule.bind(p), seed, n, rng_seed=derive_seed(
+base_seed, k)) builds, so runs are reproducible and trials could be farmed
+out in parallel without sharing a stream.  The arguments, the brick budget
+and the overlap certificate are checked once, before any draw; a trial
+makes its n substitution steps and reads v_max from the wall's edge runs.
+Results are recorded in trial order.
 """
 
 from __future__ import annotations
@@ -11,9 +13,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, NamedTuple, Tuple
 
-from .generate import iterate
-from .joints import vertical_joints
-from .rng import derive_seed
+from .generate import _check_wall, _wall_rows
+from .joints import _v_max
+from .rng import SplitMix64, derive_seed
 from .rules import RuleError, SubstitutionRule
 
 
@@ -69,9 +71,12 @@ def sample_vmax(rule: SubstitutionRule, seed_type: str, n: int, p,
     if not rule.is_parametric:
         raise RuleError(f"rule '{rule.name}' has no parameter p to sample over")
     bound = rule.bind(p)
-    bound.get_type(seed_type)
+    # base_seed is in range iff every base_seed ^ k is
+    seed, sweep = _check_wall(bound, seed_type, n, base_seed)
     samples = []
     for k in range(trials):
-        pattern = iterate(bound, seed_type, n, rng_seed=derive_seed(base_seed, k))
-        samples.append(vertical_joints(pattern).v_max)
+        rng = SplitMix64(derive_seed(base_seed, k))
+        for rows in _wall_rows(bound, seed, n, rng, sweep):
+            pass
+        samples.append(_v_max(rows))
     return VmaxStats(p, n, trials, base_seed, tuple(samples))

@@ -1,11 +1,15 @@
 """Seed derivation and Monte-Carlo sampling of V_max."""
 
+import hashlib
+import re
 from fractions import Fraction
 
 import pytest
 
-from brickwall import (RuleError, SplitMix64, builtin, derive_seed, iterate,
-                       sample_vmax, vertical_joints)
+from brickwall import (OverlapError, RuleError, SplitMix64, builtin,
+                       derive_seed, iterate, parse_rule, sample_vmax,
+                       vertical_joints)
+from brickwall import generate
 
 # published reference outputs for splitmix64 with seed 0
 SPLITMIX64_SEED0 = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
@@ -98,7 +102,101 @@ def test_stats_json_shape():
     assert all(isinstance(k, str) for k in data["histogram"])
 
 
-def test_sampling_errors():
+# a parametric rule whose p option overlaps from level 2 on: not certified
+PCLASH = ("rule pclash\nengine geometric\nexpansion 2 2\nbrick A 1 1\n"
+          "image A prob p { A @ 0 0 ; A @ 1 0 ; A @ 2 0 ; A @ 3 0 }\n"
+          "image A prob 1-p { A @ 0 0 ; A @ 1 0 ; A @ 0 1 ; A @ 1 1 }\nend\n")
+
+
+def _count_draws(monkeypatch):
+    """Count every SplitMix64 draw from here on; returns the live count."""
+    draws = [0]
+    draw = SplitMix64.next_u64
+
+    def counted(self):
+        draws[0] += 1
+        return draw(self)
+
+    monkeypatch.setattr(SplitMix64, "next_u64", counted)
+    return draws
+
+
+# sha256 of sample_vmax(random_pp, seed, n, k/10, trials, base_seed).samples
+# for k = 0..10, one line of space-separated samples per k; frozen before
+# sample_vmax stopped calling iterate and vertical_joints per trial
+@pytest.mark.parametrize("seed, n, trials, base_seed, digest", [
+    ("B22", 4, 16, 0,
+     "72e4052b978ee8b88a23b075d2e12345be9da0a8b1b99a7e66dbe550a7e6ef77"),
+    ("B22", 4, 16, 2 ** 64 - 1,
+     "eace9540c6982cb9c0ca7911e53312d6a9ac4518e95308e6b910912368602387"),
+    ("B22", 5, 4, 0,
+     "8843e3155e01da6cde9199caca74ef79d9d289860cb90c85b2d220a08c949e41"),
+    ("B22", 5, 4, 2 ** 64 - 1,
+     "2cff379901a6bd02bca425d6254636dc3f37ddecfaca55f539b40ccdf0fd9710"),
+    ("B12", 4, 16, 0,
+     "3b35156fa839ad54b7a35240a23809f6e3c5bf9564006d5c2d18b23ebca2fbc9"),
+    ("B12", 4, 16, 2 ** 64 - 1,
+     "9ca6610ad3d71607c3bbb277d5afe017f47455d758ceda8e755f0d71a11c5af8"),
+    ("B12", 5, 4, 0,
+     "60f97b0c542271f68209c48fd1209f5f29e973a669ecf29f8aa49897e50b1d8d"),
+    ("B12", 5, 4, 2 ** 64 - 1,
+     "4c58c4d47b50e1990146b0e0610c30cfb6c19444914bc02815383240417c50de"),
+])
+def test_frozen_sample_digests(seed, n, trials, base_seed, digest):
+    pp = builtin("random_pp")
+    text = "".join(
+        " ".join(map(str, sample_vmax(pp, seed, n, Fraction(k, 10), trials,
+                                      base_seed).samples)) + "\n"
+        for k in range(11))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_sampling_sweeps_uncertified_rules(monkeypatch):
+    pclash = parse_rule(PCLASH)
+    with pytest.raises(OverlapError, match="near x=2, y=0"):
+        sample_vmax(pclash, "A", 2, 1, trials=3)
+    assert set(sample_vmax(pclash, "A", 2, 0, trials=3).samples) == {4}
+    # random_pp is certified, so its trials are never swept
+    sweeps = [0]
+    sweep = generate.check_no_overlap
+
+    def counted(rows):
+        sweeps[0] += 1
+        return sweep(rows)
+
+    monkeypatch.setattr(generate, "check_no_overlap", counted)
+    sample_vmax(builtin("random_pp"), "B22", 3, Fraction(1, 2), trials=3)
+    assert sweeps[0] == 0
+    sample_vmax(pclash, "A", 2, 0, trials=3)
+    assert sweeps[0] == 6
+
+
+def test_sampling_draw_stream(monkeypatch):
+    # one draw to derive each trial's seed, then one per brick of levels
+    # 0..n-1 (every random_pp type has two options)
+    bound = builtin("random_pp").bind(Fraction(3, 10))
+    expected = 0
+    for k in range(4):
+        walls = generate.levels(bound, "B22", 3, derive_seed(1, k))
+        expected += 1 + sum(len(wall) for wall in walls if wall.level < 3)
+    draws = _count_draws(monkeypatch)
+    sample_vmax(builtin("random_pp"), "B22", 3, Fraction(3, 10), trials=4,
+                base_seed=1)
+    assert draws[0] == expected
+
+
+def test_sampling_errors(monkeypatch):
+    draws = _count_draws(monkeypatch)
+    # n is refused with iterate's own message before any trial draws
+    for n, error, message in [
+            (-1, ValueError, "depth must be >= 0, got -1"),
+            (13, ValueError, "depth 13 exceeds MAX_DEPTH=12"),
+            (12, RuleError, "rule 'random_pp' from seed 'B22' at n=12 can"
+                            " build 33554432 bricks, over the budget of"
+                            " 2097152")]:
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            sample_vmax(builtin("random_pp"), "B22", n, Fraction(1, 2))
+        assert draws[0] == 0
     with pytest.raises(ValueError):
         sample_vmax(builtin("random_pp"), "B22", 2, Fraction(1, 2), trials=0)
     with pytest.raises(ValueError):
