@@ -28,24 +28,18 @@ from .stats import sample_vmax
 from .svg import to_svg
 
 
-class CliError(Exception):
-    def __init__(self, code: int, message: str):
-        self.code = code
-        super().__init__(message)
-
-
 def _load_rule(ref: str):
     """Rule by builtin name or DSL file path, parsed and validated."""
     if ref in BUILTIN_SOURCES:
         source = BUILTIN_SOURCES[ref]
     elif not os.path.exists(ref):
-        raise CliError(2, f"unknown rule '{ref}' (not a builtin, not a file)")
+        raise ValueError(f"unknown rule '{ref}' (not a builtin, not a file)")
     else:
         try:
             with open(ref, encoding="utf-8") as fh:
                 source = fh.read()
         except OSError as e:
-            raise CliError(2, f"cannot read rule file '{ref}': {e.strerror}") from None
+            raise ValueError(f"cannot read rule file '{ref}': {e.strerror}") from None
     return parse_rule(source)
 
 
@@ -53,26 +47,26 @@ def _parse_p(p_arg: str) -> Fraction:
     try:
         p = Fraction(p_arg)
     except (ValueError, ZeroDivisionError):
-        raise CliError(2, f"bad -p value '{p_arg}' (want num/den)") from None
+        raise ValueError(f"bad -p value '{p_arg}' (want num/den)") from None
     if not 0 <= p <= 1:
-        raise CliError(2, f"-p {p} outside [0, 1]")
+        raise ValueError(f"-p {p} outside [0, 1]")
     return p
 
 
 def _bind_p(rule, p_arg):
     if rule.is_parametric:
         if p_arg is None:
-            raise CliError(2, f"rule '{rule.name}' is parametric; -p is required")
+            raise ValueError(f"rule '{rule.name}' is parametric; -p is required")
         return rule.bind(_parse_p(p_arg))
     if p_arg is not None:
-        raise CliError(2, f"rule '{rule.name}' has no parameter; drop -p")
+        raise ValueError(f"rule '{rule.name}' has no parameter; drop -p")
     return rule
 
 
 def _check_seed(rule, seed_type):
     if seed_type not in rule.type_ids:
-        raise CliError(2, f"unknown seed brick '{seed_type}' in rule"
-                          f" '{rule.name}' (have: {', '.join(rule.type_ids)})")
+        raise ValueError(f"unknown seed brick '{seed_type}' in rule"
+                         f" '{rule.name}' (have: {', '.join(rule.type_ids)})")
 
 
 def _prepared(args):
@@ -81,14 +75,14 @@ def _prepared(args):
     if args.rng_seed is not None:  # one range for every rule, drawn from or not
         check_rng_seed(args.rng_seed)
     elif rule.is_random:
-        raise CliError(2, f"rule '{rule.name}' is random; --rng-seed is required")
+        raise ValueError(f"rule '{rule.name}' is random; --rng-seed is required")
     return rule
 
 
 def cmd_generate(args) -> int:
     rule = _prepared(args)
     if not args.out.endswith((".svg", ".txt")):
-        raise CliError(2, f"--out must end in .svg or .txt, got '{args.out}'")
+        raise ValueError(f"--out must end in .svg or .txt, got '{args.out}'")
     pattern = generate_pattern(rule, args.seed_brick, args.n, args.rng_seed)
     content = (to_svg(pattern, rule=rule) if args.out.endswith(".svg")
                else format_pattern(pattern))
@@ -96,7 +90,7 @@ def cmd_generate(args) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(content)
     except OSError as e:
-        raise CliError(2, f"cannot write '{args.out}': {e.strerror}") from None
+        raise ValueError(f"cannot write '{args.out}': {e.strerror}") from None
     print(f"wrote {args.out} ({len(pattern)} bricks)")
     return 0
 
@@ -191,8 +185,8 @@ def _count_str(rule, seed_type, n) -> str:
     lambda2)^n / largest brick area bricks: over the limit, no counting."""
     count_bricks(rule, seed_type, 0)  # an uncountable rule exits 1 at any -n
     limit, source = _digit_limit()
-    too_long = CliError(2, f"-n {n}: the brick count has more than {limit}"
-                           f" digits ({source} int-to-str limit)")
+    too_long = ValueError(f"-n {n}: the brick count has more than {limit}"
+                          f" digits ({source} int-to-str limit)")
     largest = max(t.area for t in rule.types)
     if (math.log10(rule.get_type(seed_type).area / largest)
             + n * math.log10(rule.expansion)) >= limit:
@@ -221,10 +215,10 @@ def cmd_sample(args) -> int:
     rule = _load_rule(args.rule)
     _check_seed(rule, args.seed_brick)
     if not rule.is_parametric:
-        raise CliError(2, f"rule '{rule.name}' has no parameter p; sample needs one")
+        raise ValueError(f"rule '{rule.name}' has no parameter p; sample needs one")
     p = _parse_p(args.p)
     if args.trials < 1:
-        raise CliError(2, f"--trials must be >= 1, got {args.trials}")
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     stats = sample_vmax(rule, args.seed_brick, args.n, p,
                         trials=args.trials, base_seed=args.rng_seed)
     print(json.dumps(stats.to_json(), indent=2))
@@ -304,9 +298,6 @@ def main(argv=None) -> int:
     except BrokenPipeError:  # no reader: the SIGPIPE recipe of the Python docs
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return e.code
     except RuleError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -74,13 +74,11 @@ class Pattern:
         """(min_x, min_y, max_x, max_y) of the covered region."""
         if not self.rows:
             raise ValueError("empty pattern has no bounding box")
-        _, min_x, min_y, w, h = self.rows[0]
+        _, min_x, min_y, w, h = self.rows[0]  # rows[0] has the least y
         max_x, max_y = min_x + w, min_y + h
         for _, x, y, w, h in self.rows:
-            if x < min_x:
+            if x < min_x:  # a negative skew can start upper rows further left
                 min_x = x
-            if y < min_y:
-                min_y = y
             if x + w > max_x:
                 max_x = x + w
             if y + h > max_y:

@@ -4,8 +4,10 @@ The matrix M has entry (t, u) = number of bricks of type u in the image of
 type t (expected count, as an exact rational, for random rules).  Its
 dominant eigenvalue is lambda1*lambda2 with right eigenvector the brick
 areas; the normalized left eigenvector gives asymptotic brick frequencies.
-Counting (brick totals, realization counts) stays in arbitrary-precision
-integers throughout.
+Both come from power iteration in plain Python floats with one rounding per
+multiply-add, so they are the same on every platform.  Counting (brick
+totals, realization counts) stays in arbitrary-precision integers
+throughout.
 """
 
 from __future__ import annotations
@@ -85,43 +87,49 @@ def assert_area_eigenvector(M: SubstitutionMatrix) -> None:
                              f" {M.type_order[i]}: {lhs} != {rhs}")
 
 
-def _power_iteration(a):
-    import numpy as np  # imported here, so only the float spectrum pays for it
-    x = np.ones(a.shape[0])
-    for _ in range(_MAX_ITER):
-        y = a @ x
-        lam = float(np.max(np.abs(y)))
+def _dot(row, x) -> float:
+    """sum(a * v) with one rounding per multiply-add, as a fused
+    multiply-add gives, so the float is the same on every platform."""
+    s = 0.0
+    for a, v in zip(row, x):
+        s = float(Fraction(a) * Fraction(v) + Fraction(s))
+    return s
+
+
+def _power_iteration(entries):
+    """Max-norm power iteration from all ones on the float rows of entries.
+    A state seen before ends the loop: the map is deterministic, so from
+    there it would only cycle."""
+    rows = [[float(e) for e in row] for row in entries]
+    x, seen = (1.0,) * len(rows), set()
+    while x not in seen and len(seen) < _MAX_ITER:
+        seen.add(x)
+        y = [_dot(row, x) for row in rows]
+        lam = max(map(abs, y))
         if lam == 0.0:
             return 0.0, x
-        xn = y / lam
-        if float(np.max(np.abs(xn - x))) < _TOL:
+        xn = tuple(v / lam for v in y)
+        if max(abs(a - b) for a, b in zip(xn, x)) < _TOL:
             return lam, xn
         x = xn
     raise RuleError("substitution matrix has no unique dominant eigenvector"
                     f" (power iteration did not converge in {_MAX_ITER} steps)")
 
 
-def _as_float_array(M: SubstitutionMatrix):
-    import numpy as np
-    return np.array([[float(e) for e in row] for row in M.entries])
-
-
 def pf_eigenvalue(M: SubstitutionMatrix) -> float:
     """Dominant eigenvalue by power iteration (all-ones start, max-norm
     convergence).  Also asserts the exact area eigenvector identity."""
     assert_area_eigenvector(M)
-    lam, _ = _power_iteration(_as_float_array(M))
+    lam, _ = _power_iteration(M.entries)
     return lam
 
 
 def brick_frequencies(M: SubstitutionMatrix) -> Tuple[float, ...]:
     """Normalized left eigenvector for the dominant eigenvalue: the
     asymptotic share of each brick type."""
-    _, vec = _power_iteration(_as_float_array(M).T)
-    total = float(vec.sum())
-    if total == 0.0:
-        raise RuntimeError("left eigenvector collapsed to zero")
-    return tuple(float(v) / total for v in vec)
+    _, vec = _power_iteration(zip(*M.entries))
+    total = sum(vec)
+    return tuple(v / total for v in vec)
 
 
 def _count_vectors(rule: SubstitutionRule):

@@ -58,6 +58,10 @@ def test_substitute_once_needs_a_bound_rule_and_an_rng():
         substitute_once(builtin("random_pp"), pat, SplitMix64(1))
     with pytest.raises(RuleError, match="an rng is required"):
         substitute_once(builtin("random_self_similar"), pat)
+    wide = Pattern("adhoc", 0, None, None, (("B21", 0, 0, 3, 1),))
+    with pytest.raises(RuleError) as refused:
+        substitute_once(builtin("sigma3"), wide)
+    assert str(refused.value) == "brick B21@(0,0) has size 3x1, rule says 2x1"
 
 
 def test_substitute_once_empty_pattern():

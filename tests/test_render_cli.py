@@ -392,8 +392,11 @@ def test_cli_validate_swap_rule(tmp_path):
                     " A @ 0 1 ; A @ 1 1 ; A @ 2 1 ; A @ 3 1 }\nend\n")
     assert run("validate", "--rule", str(swap)) == \
         (0, "ok: rule 'swap' (geometric, 2 types)\n", "")
-    # eigenvalues +-4: no unique dominant eigenvector, a clean diagnostic
+    # eigenvalues +-4: no unique dominant eigenvector, a clean diagnostic,
+    # given at the first repeated iterate
+    start = time.perf_counter()
     code, stdout, stderr = run("spectrum", "--rule", str(swap))
+    assert time.perf_counter() - start < 0.5
     assert (code, stdout) == (1, "")
     assert stderr.startswith("error: rule 'swap': ") and stderr.count("\n") == 1
     assert "no unique dominant eigenvector" in stderr
@@ -529,11 +532,14 @@ def test_cli_module_entry_point(tmp_path):
 
 @pytest.mark.parametrize("module", ["numpy", "dataclasses"])
 def test_cli_import_leaves_module_out(module):
-    # only the float spectrum imports numpy, inside spectral; dataclasses
+    # the spectrum is plain Python, so no command imports numpy; dataclasses
     # (with inspect and tokenize) would cost every process its import
     res = subprocess.run(
         [sys.executable, "-c",
-         f"import sys, brickwall.cli; print({module!r} in sys.modules)"],
+         "import io, sys, contextlib, brickwall.cli\n"
+         "with contextlib.redirect_stdout(io.StringIO()):\n"
+         "    assert brickwall.cli.main(['spectrum', '--rule', 'sigma3']) == 0\n"
+         f"print({module!r} in sys.modules)"],
         capture_output=True, text=True, check=True)
     assert res.stdout == "False\n"
 

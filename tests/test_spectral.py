@@ -108,6 +108,40 @@ def test_pf_eigenvalue_trivial_rule_exact():
     assert pf_eigenvalue(matrix(rule)) == 4.0
 
 
+# repr of (pf_eigenvalue, brick_frequencies), as `spectrum` prints them;
+# recorded when the power iteration ran in numpy, whose bytes it keeps
+FROZEN_SPECTRA = {
+    "ptm": ("4.0", ("0.5", "0.5")),
+    "ptm_skewed": ("4.0", ("0.5", "0.5")),
+    "sigma3": ("4.000000000811549", ("0.3846153846387563",
+                                     "0.46153846146096617",
+                                     "0.15384615390027762")),
+    "rows23": ("6.0", ("0.5", "0.5")),
+    "random_self_similar": ("4.0", ("0.6666666666666666", "0.3333333333333333")),
+    "random_pp 0": ("4.0", ("1.0", "0.0")),
+    "random_pp 1/10": ("4.0", ("0.9473684210526315", "0.052631578947368425")),
+    "random_pp 1/5": ("4.0", ("0.8888888888888888", "0.1111111111111111")),
+    "random_pp 3/10": ("4.0", ("0.823529411764706", "0.17647058823529413")),
+    "random_pp 2/5": ("4.0", ("0.7499999999999999", "0.25")),
+    "random_pp 1/2": ("4.0", ("0.6666666666666666", "0.3333333333333333")),
+    "random_pp 3/5": ("4.0", ("0.5714285714285714", "0.42857142857142855")),
+    "random_pp 7/10": ("4.0", ("0.46153846153846156", "0.5384615384615384")),
+    "random_pp 4/5": ("4.0", ("0.3333333333333333", "0.6666666666666666")),
+    "random_pp 9/10": ("4.0", ("0.18181818181818182", "0.8181818181818181")),
+    "random_pp 1": ("4.0", ("0.0", "1.0")),
+    "random_pp 1/3": ("4.0", ("0.8", "0.2")),
+}
+
+
+@pytest.mark.parametrize("key", FROZEN_SPECTRA)
+def test_spectrum_floats_frozen(key):
+    name, _, p = key.partition(" ")
+    rule = builtin(name).bind(Fraction(p)) if p else builtin(name)
+    m = matrix(rule)
+    got = (repr(pf_eigenvalue(m)), tuple(map(repr, brick_frequencies(m))))
+    assert got == FROZEN_SPECTRA[key]
+
+
 @pytest.mark.parametrize("name", sorted(FROZEN_FREQUENCIES))
 def test_frequencies_match_exact_eigenvector(name):
     m = matrix(builtin(name))
