@@ -35,7 +35,7 @@ def main() -> None:
         pat = generate_pattern(rule, seed_brick, n, rng_seed=rng_seed)
         path = args.outdir / fname
         path.write_text(to_svg(pat, rule=rule))
-        print(f"wrote {path} ({len(pat.bricks)} bricks)")
+        print(f"wrote {path} ({len(pat)} bricks)")
 
 
 if __name__ == "__main__":

@@ -18,14 +18,14 @@ import sys
 from fractions import Fraction
 
 from .builtins import BUILTIN_SOURCES
-from .generate import format_pattern, generate_pattern
+from .generate import _text_slices, generate_pattern
 from .joints import analyze
 from .rng import check_rng_seed
 from .rules import RuleError, RuleSyntaxError, RuleValidationError, parse_rule
 from .spectral import brick_frequencies, count_bricks, matrix, pf_eigenvalue, \
     realization_factors
 from .stats import sample_vmax
-from .svg import to_svg
+from .svg import _svg_slices
 
 
 def _load_rule(ref: str):
@@ -84,11 +84,13 @@ def cmd_generate(args) -> int:
     if not args.out.endswith((".svg", ".txt")):
         raise ValueError(f"--out must end in .svg or .txt, got '{args.out}'")
     pattern = generate_pattern(rule, args.seed_brick, args.n, args.rng_seed)
-    content = (to_svg(pattern, rule=rule) if args.out.endswith(".svg")
-               else format_pattern(pattern))
+    slices = (_svg_slices(pattern, rule) if args.out.endswith(".svg")
+              else _text_slices(pattern))
+    header = next(slices)  # an empty wall fails in bbox, before --out opens
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(content)
+            fh.write(header)
+            fh.writelines(slices)  # one slice in memory at a time
     except OSError as e:
         raise ValueError(f"cannot write '{args.out}': {e.strerror}") from None
     print(f"wrote {args.out} ({len(pattern)} bricks)")

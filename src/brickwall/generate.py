@@ -22,6 +22,7 @@ from .spectral import max_bricks
 
 MAX_DEPTH = 12  # allocation guard on the depth of any wall
 MAX_BRICKS = 2 ** 21  # most bricks one wall may hold, checked before building
+_SLICE_ROWS = 4096  # bricks per rendered slice, text and SVG alike
 
 
 class OverlapError(RuleError):
@@ -393,11 +394,18 @@ def generate_pattern(rule: SubstitutionRule, seed_type: str, n: int,
 _HEADER_RE = re.compile(r"#\s*rule=(\S+)\s+n=(\d+)\s+seed=(\S+)\s*$")
 
 
-def format_pattern(pattern: Pattern) -> str:
+def _text_slices(pattern: Pattern) -> Iterator[str]:
+    """format_pattern's text: the header line, then _SLICE_ROWS bricks a
+    string, so no renderer holds one string per brick of the wall."""
     seed = "-" if pattern.rng_seed is None else str(pattern.rng_seed)
-    lines = [f"# rule={pattern.rule_name} n={pattern.level} seed={seed}"]
-    lines += [f"{t} {x} {y} {w} {h}" for t, x, y, w, h in pattern.rows]
-    return "\n".join(lines) + "\n"
+    yield f"# rule={pattern.rule_name} n={pattern.level} seed={seed}\n"
+    for i in range(0, len(pattern.rows), _SLICE_ROWS):
+        yield "\n".join([f"{t} {x} {y} {w} {h}" for t, x, y, w, h
+                         in pattern.rows[i:i + _SLICE_ROWS]]) + "\n"
+
+
+def format_pattern(pattern: Pattern) -> str:
+    return "".join(_text_slices(pattern))
 
 
 def parse_pattern(text: str) -> Pattern:

@@ -5,13 +5,15 @@ fixed scale of CELL_SIZE units per lattice cell, stroked with MORTAR_COLOR
 at MORTAR_WIDTH; the document is padded by MORTAR_WIDTH on every side.
 Lattice row 0 renders at the bottom (y axis flipped).  Output is
 byte-deterministic: bricks are emitted in the (y, x, type_id) order every
-Pattern keeps, in one pass, and numbers use fixed formatting with at most
-three decimals.
+Pattern keeps, in one pass that formats a fixed-size slice of bricks at a
+time, and numbers use fixed formatting with at most three decimals.
 """
 
 from __future__ import annotations
 
-from .generate import Pattern
+from typing import Iterator
+
+from .generate import _SLICE_ROWS, Pattern
 from .rules import SubstitutionRule
 
 CELL_SIZE = 20
@@ -36,9 +38,9 @@ class _Memo(dict):
         return value
 
 
-def to_svg(pattern: Pattern, rule: SubstitutionRule) -> str:
-    """Render a pattern as an SVG document string, each brick in the color
-    of its type in ``rule`` (RuleError for a type the rule lacks)."""
+def _svg_slices(pattern: Pattern, rule: SubstitutionRule) -> Iterator[str]:
+    """to_svg's document: the <svg> line, then _SLICE_ROWS rects a string,
+    then the closing </svg> line."""
     if not pattern.rows:
         raise ValueError("cannot render an empty pattern")
 
@@ -46,8 +48,8 @@ def to_svg(pattern: Pattern, rule: SubstitutionRule) -> str:
     cs, pad = CELL_SIZE, MORTAR_WIDTH
     width = _fmt((max_x - min_x) * cs + 2 * pad)
     height = _fmt((max_y - min_y) * cs + 2 * pad)
-    lines = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}"'
-             f' height="{height}" viewBox="0 0 {width} {height}">']
+    yield (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}"'
+           f' height="{height}" viewBox="0 0 {width} {height}">\n')
 
     def size_and_paint(key):
         tid, w, h = key
@@ -60,7 +62,13 @@ def to_svg(pattern: Pattern, rule: SubstitutionRule) -> str:
     # flip so row 0 is at the bottom
     mid = _Memo(lambda top: f'{_fmt((max_y - top) * cs + pad)}"')
     tail = _Memo(size_and_paint)
-    for tid, x, y, w, h in pattern.rows:
-        lines.append(head[x] + mid[y + h] + tail[tid, w, h])
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    for i in range(0, len(pattern.rows), _SLICE_ROWS):
+        yield "\n".join([head[x] + mid[y + h] + tail[tid, w, h]
+                         for tid, x, y, w, h in pattern.rows[i:i + _SLICE_ROWS]]) + "\n"
+    yield "</svg>\n"
+
+
+def to_svg(pattern: Pattern, rule: SubstitutionRule) -> str:
+    """Render a pattern as an SVG document string, each brick in the color
+    of its type in ``rule`` (RuleError for a type the rule lacks)."""
+    return "".join(_svg_slices(pattern, rule))

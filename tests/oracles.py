@@ -4,8 +4,8 @@ These recompute results along a different route than the library:
 joints and crossings by rasterizing into unit cells, eigenvectors by
 exact rational elimination, a substitution step by one sort of the whole
 level, matrix powers by repeated squaring, the parity wall from binary
-digit sums, frequencies by counting the bricks of a wall.  Slow and simple
-on purpose.
+digit sums, frequencies by counting the bricks of a wall, text and SVG by
+one string per brick joined once.  Slow and simple on purpose.
 """
 
 import bisect
@@ -15,6 +15,7 @@ from fractions import Fraction
 from brickwall import SubstitutionMatrix
 from brickwall.generate import _ORDER
 from brickwall.joints import _edge_segments
+from brickwall.svg import CELL_SIZE, MORTAR_COLOR, MORTAR_WIDTH, _fmt, _Memo
 
 
 def rasterized_joints(pattern):
@@ -160,3 +161,40 @@ def empirical_frequencies(pattern, rule):
     counts = Counter(t for t, _, _, _, _ in pattern.rows)
     total = len(pattern.rows)
     return {tid: Fraction(counts[tid], total) for tid in rule.type_ids}
+
+
+def one_string_per_brick_text(pattern):
+    """format_pattern's text from one string per brick, joined once."""
+    seed = "-" if pattern.rng_seed is None else str(pattern.rng_seed)
+    lines = [f"# rule={pattern.rule_name} n={pattern.level} seed={seed}"]
+    lines += [f"{t} {x} {y} {w} {h}" for t, x, y, w, h in pattern.rows]
+    return "\n".join(lines) + "\n"
+
+
+def one_string_per_brick_svg(pattern, rule):
+    """to_svg's document from one string per brick, joined once."""
+    if not pattern.rows:
+        raise ValueError("cannot render an empty pattern")
+
+    min_x, min_y, max_x, max_y = pattern.bbox()
+    cs, pad = CELL_SIZE, MORTAR_WIDTH
+    width = _fmt((max_x - min_x) * cs + 2 * pad)
+    height = _fmt((max_y - min_y) * cs + 2 * pad)
+    lines = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}"'
+             f' height="{height}" viewBox="0 0 {width} {height}">']
+
+    def size_and_paint(key):
+        tid, w, h = key
+        return (f' width="{_fmt(w * cs)}" height="{_fmt(h * cs)}"'
+                f' fill="{rule.get_type(tid).color}" stroke="{MORTAR_COLOR}"'
+                f' stroke-width="{_fmt(pad)}"/>')
+
+    # each distinct x, top edge and (type, size) is formatted once
+    head = _Memo(lambda x: f'<rect x="{_fmt((x - min_x) * cs + pad)}" y="')
+    # flip so row 0 is at the bottom
+    mid = _Memo(lambda top: f'{_fmt((max_y - top) * cs + pad)}"')
+    tail = _Memo(size_and_paint)
+    for tid, x, y, w, h in pattern.rows:
+        lines.append(head[x] + mid[y + h] + tail[tid, w, h])
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -17,8 +18,10 @@ from brickwall import (Brick, Pattern, RuleError, builtin, generate_pattern,
                        iterate, parse_pattern, parse_rule, to_svg)
 from brickwall import format_pattern, sample_vmax, vertical_joints
 from brickwall.cli import main
+from brickwall.generate import _SLICE_ROWS as C
 from brickwall.joints import analyze
 from brickwall.rules import PALETTE
+from oracles import one_string_per_brick_svg, one_string_per_brick_text
 
 SINGLE_BRICK_SVG = (
     '<svg xmlns="http://www.w3.org/2000/svg" width="23" height="23"'
@@ -107,6 +110,71 @@ def test_svg_errors():
         to_svg(Pattern("adhoc", 0, None, None, ()), builtin("sigma3"))
     with pytest.raises(RuleError, match="unknown brick type 'A' in rule 'sigma3'"):
         to_svg(_single("A"), builtin("sigma3"))
+
+
+def _renders_as_the_oracles(wall, rule):
+    text = format_pattern(wall)
+    assert text == one_string_per_brick_text(wall)
+    assert parse_pattern(text).rows == wall.rows
+    if not wall.rows:
+        with pytest.raises(ValueError, match="cannot render an empty pattern"):
+            to_svg(wall, rule)
+        return
+    assert to_svg(wall, rule) == one_string_per_brick_svg(wall, rule)
+
+
+@pytest.mark.parametrize("rows", [0, 1, C - 1, C, C + 1, 2 * C, 3 * C + 7])
+def test_hand_walls_render_as_the_oracles_at_slice_edges(rows):
+    # the renderers format C bricks a slice; sigma3's three sizes cycle,
+    # three bricks to a lattice row, and some rows start left of x = 0
+    sizes = (("B11", 1, 1), ("B21", 2, 1), ("B22", 2, 2))
+    wall = Pattern("adhoc", 1, None, rows if rows % 2 else None,
+                   tuple((t, 3 * (i % 3) - i // 3 % 5, i // 3, w, h)
+                         for i in range(rows) for t, w, h in [sizes[i % 3]]))
+    assert len(wall) == rows
+    _renders_as_the_oracles(wall, builtin("sigma3"))
+
+
+@pytest.mark.parametrize("name,brick,n,rng_seed", [
+    ("ptm", "1", 7, None), ("ptm_skewed", "0", 7, None),
+    ("sigma3", "B22", 7, None), ("rows23", "B21", 6, None),
+    ("random_self_similar", "B22", 7, 1), ("random_pp", "B22", 7, 1)])
+def test_builtin_walls_past_three_slices_render_as_the_oracles(
+        name, brick, n, rng_seed):
+    rule = builtin(name, p=Fraction(1, 3) if name == "random_pp" else None)
+    wall = generate_pattern(rule, brick, n, rng_seed)
+    assert len(wall) > 3 * C
+    _renders_as_the_oracles(wall, rule)
+
+
+def test_rendering_holds_twice_the_output_and_generate_one_slice(tmp_path):
+    # ptm n8 has 65,536 rows; one string per brick took 7.2x the text and
+    # 3.6x the SVG, and generate held the whole document on top of the wall
+    mib, rule = 2 ** 20, builtin("ptm")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        wall = generate_pattern(rule, "1", 8)
+        wall_peak = tracemalloc.get_traced_memory()[1] - before
+        for render in (format_pattern, lambda p: to_svg(p, rule)):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            size = len(render(wall))
+            assert tracemalloc.get_traced_memory()[1] - before <= \
+                2 * size + mib
+        del wall
+        for suffix in ("svg", "txt"):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            assert run("generate", "--rule", "ptm", "--seed-brick", "1", "-n",
+                       "8", "--out", str(tmp_path / f"wall.{suffix}"))[0] == 0
+            assert tracemalloc.get_traced_memory()[1] - before <= \
+                wall_peak + mib
+    finally:
+        tracemalloc.stop()
+    wall = generate_pattern(rule, "1", 8)
+    assert (tmp_path / "wall.svg").read_text() == to_svg(wall, rule)
+    assert (tmp_path / "wall.txt").read_text() == format_pattern(wall)
 
 
 def test_cli_generate_svg(tmp_path):
