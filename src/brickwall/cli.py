@@ -86,7 +86,7 @@ def cmd_generate(args) -> int:
     pattern = generate_pattern(rule, args.seed_brick, args.n, args.rng_seed)
     slices = (_svg_slices(pattern, rule) if args.out.endswith(".svg")
               else _text_slices(pattern))
-    header = next(slices)  # an empty wall fails in bbox, before --out opens
+    header = next(slices)  # the SVG header's checks run before --out opens
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(header)

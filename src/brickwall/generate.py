@@ -409,18 +409,21 @@ def format_pattern(pattern: Pattern) -> str:
 
 
 def parse_pattern(text: str) -> Pattern:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    lines = filter(str.strip, text.splitlines())
+    header = next(lines, None)
+    if header is None:
         raise ValueError("empty pattern text")
-    m = _HEADER_RE.match(lines[0])
+    m = _HEADER_RE.match(header)
     if not m:
-        raise ValueError(f"bad pattern header: {lines[0]!r}")
+        raise ValueError(f"bad pattern header: {header!r}")
     rule_name, level = m.group(1), int(m.group(2))
     rng_seed = None if m.group(3) == "-" else int(m.group(3))
-    bricks = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 5:
-            raise ValueError(f"bad pattern line: {ln!r}")
-        bricks.append((parts[0], *map(int, parts[1:])))
-    return Pattern(rule_name, level, None, rng_seed, tuple(bricks))
+    # one pass: Pattern's sort holds the only list of the rows
+    return Pattern(rule_name, level, None, rng_seed, map(_pattern_row, lines))
+
+
+def _pattern_row(ln: str) -> Tuple:
+    parts = ln.split()
+    if len(parts) != 5:
+        raise ValueError(f"bad pattern line: {ln!r}")
+    return (parts[0], *map(int, parts[1:]))

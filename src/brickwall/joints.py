@@ -90,7 +90,7 @@ def _v_max(rows) -> int:
                 for x, run in runs.items() if x not in outline), default=0)
 
 
-def _image_bricks(rule: SubstitutionRule, opt):
+def _image_bricks(opt):
     # a rule lists them in any order; a wall holds them in wall order
     return sorted(opt.placements, key=_ORDER)
 
@@ -117,7 +117,7 @@ def crossing_options(rule: SubstitutionRule, type_id: str) -> Tuple[bool, ...]:
     rule.get_type(type_id)
     if rule.engine == "block":
         return (_bricks_have_crossing(generate_pattern(rule, type_id, 1).rows),)
-    return tuple(_bricks_have_crossing(_image_bricks(rule, opt))
+    return tuple(_bricks_have_crossing(_image_bricks(opt))
                  for opt in rule.images[type_id])
 
 

@@ -73,11 +73,13 @@ class Prob(NamedTuple):
     def __str__(self):
         if self.coeff == 0:
             return str(self.const)
-        if self.const == 0:
-            return "p" if self.coeff == 1 else f"{self.coeff}*p"
         if self.const == 1 and self.coeff == -1:
-            return "1-p"
-        return f"{self.const} + {self.coeff}*p"
+            return "1-p"  # the parser's spelling
+        size = abs(self.coeff)
+        term = "p" if size == 1 else f"{size}*p"
+        if self.const == 0:
+            return term if self.coeff > 0 else f"-{term}"
+        return f"{self.const} {'+' if self.coeff > 0 else '-'} {term}"
 
 
 class BrickType(NamedTuple):

@@ -220,7 +220,7 @@ def _builtin_crossing_inputs():
                 yield generate_pattern(rule, tid, 1).bricks
             else:
                 for opt in rule.images[tid]:
-                    yield _image_bricks(rule, opt)
+                    yield _image_bricks(opt)
 
 
 def _with_builtin_examples(test):

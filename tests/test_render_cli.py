@@ -22,6 +22,7 @@ from brickwall.generate import _SLICE_ROWS as C
 from brickwall.joints import analyze
 from brickwall.rules import PALETTE
 from oracles import one_string_per_brick_svg, one_string_per_brick_text
+from test_stats import PCLASH
 
 SINGLE_BRICK_SVG = (
     '<svg xmlns="http://www.w3.org/2000/svg" width="23" height="23"'
@@ -106,8 +107,11 @@ def test_svg_fills_are_rule_colors_in_wall_order():
 
 
 def test_svg_errors():
+    empty = Pattern("adhoc", 0, None, None, ())
     with pytest.raises(ValueError):
-        to_svg(Pattern("adhoc", 0, None, None, ()), builtin("sigma3"))
+        to_svg(empty, builtin("sigma3"))
+    with pytest.raises(ValueError, match="empty pattern has no bounding box"):
+        empty.bbox()
     with pytest.raises(RuleError, match="unknown brick type 'A' in rule 'sigma3'"):
         to_svg(_single("A"), builtin("sigma3"))
 
@@ -177,6 +181,21 @@ def test_rendering_holds_twice_the_output_and_generate_one_slice(tmp_path):
     assert (tmp_path / "wall.txt").read_text() == format_pattern(wall)
 
 
+def test_parsing_holds_the_lines_and_the_wall_once():
+    # ptm n8's text holds 65,536 rows; a list of the lines, a filtered copy,
+    # a brick list and Pattern's sorted copy peaked at 2.5x the wall
+    text = format_pattern(generate_pattern(builtin("ptm"), "1", 8))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        wall = parse_pattern(text)
+        size, peak = (m - before for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert len(wall) == 65536
+    assert peak <= 1.8 * size
+
+
 def test_cli_generate_svg(tmp_path):
     out = tmp_path / "wall.svg"
     code, stdout, stderr = run("generate", "--rule", "sigma3",
@@ -212,7 +231,7 @@ def test_cli_analyze_json():
     assert data["prop2"]["bound_respected"] is True
 
 
-def test_cli_analyze_human_readable():
+def test_cli_analyze_human_readable(tmp_path):
     code, stdout, _ = run("analyze", "--rule", "sigma3", "--seed-brick",
                           "B22", "-n", "1")
     assert code == 0
@@ -222,6 +241,23 @@ def test_cli_analyze_human_readable():
         "joints: 5\n"
         "crossings: B21\n"
         "joint bound 4: not applicable (an image has a crossing); measured 3\n")
+    # four 10^5-side bricks: no analysis allocates by brick size
+    big = tmp_path / "big.rule"
+    big.write_text("rule big\nengine geometric\nexpansion 2 2\n"
+                   "brick A 100000 100000\nimage A { A @ 0 0 ; A @ 100000 0 ;"
+                   " A @ 0 100000 ; A @ 100000 100000 }\nend\n")
+    start = time.perf_counter()
+    code, stdout, _ = run("analyze", "--rule", str(big), "--seed-brick", "A",
+                          "-n", "1")
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert stdout == (
+        "rule big, seed A, n=1: 4 bricks\n"
+        "v_max: 200000\n"
+        "joints: 1\n"
+        "crossings: A\n"
+        "joint bound 200000: not applicable (an image has a crossing);"
+        " measured 200000\n")
 
 
 def test_cli_analyze_random_rule():
@@ -432,6 +468,15 @@ def test_cli_validate_reports_overlap(tmp_path):
     code, stdout, _ = run("validate", "--rule", str(tower))
     assert code == 0
     assert stdout.splitlines()[1].startswith("note: overlap undecided")
+    # an option of p = 1 overlaps: validate says so, and sample sweeps
+    # every trial of a rule that is not certified
+    pclash = tmp_path / "pclash.rule"
+    pclash.write_text(PCLASH)
+    assert run("validate", "--rule", str(pclash)) == (
+        1, "overlap: A and A at offset (0, 0) in a level-2 wall of seed A\n", "")
+    assert run("sample", "--rule", str(pclash), "--seed-brick", "A", "-n", "2",
+               "-p", "1", "--trials", "3") == (
+        1, "", "error: bricks overlap near x=2, y=0\n")
 
 
 def test_cli_sample_reproducible():
@@ -530,6 +575,10 @@ def test_cli_analyze_invalid_rule_file(tmp_path):
      " digits"),
     (("count", "--rule", "sigma3", "--seed-brick", "B22", "-n", "-1"),
      "depth must be >= 0, got -1"),
+    # before any trial
+    (("sample", "--rule", "random_pp", "--seed-brick", "B22", "-n", "-1",
+      "-p", "1/2"), "depth must be >= 0, got -1"),
+    (("validate",), "the following arguments are required: --rule"),
 ])
 def test_cli_usage_errors_exit_2(argv, fragment):
     code, stdout, stderr = run(*argv)
@@ -639,6 +688,7 @@ def test_bricks_is_a_cached_view_of_the_rows():
     head = (wall.rule_name, wall.level, wall.seed_type, wall.rng_seed)
     from_rows, from_bricks = Pattern(*head, wall.rows), Pattern(*head, view)
     assert from_rows == from_bricks == wall
+    assert (wall == 5) is False
     assert hash(from_rows) == hash(from_bricks)
     assert all(type(r) is tuple for r in from_bricks.rows)
 

@@ -99,6 +99,16 @@ def test_validate_checks_hand_built_image_bricks():
         "B option 0: brick A@(1,0) has size 2x1, rule says 1x1",
         "B option 0: area 5 != 4",
         "B option 0: placements 1 and 2 overlap"]
+    # or no image at all for a type
+    sigma3, ptm = builtin("sigma3"), builtin("ptm")
+    for rule, images, blocks, diag in (
+            (sigma3, {t: o for t, o in sigma3.images.items() if t != "B11"},
+             sigma3.blocks, "B11: no image options"),
+            (ptm, ptm.images, {"0": ptm.blocks["0"]}, "1: no block image")):
+        bad = SubstitutionRule(rule.name, rule.engine, rule.lambda1,
+                               rule.lambda2, rule.skew, rule.types, images,
+                               blocks)
+        assert validate_rule(bad) == [diag]
 
 
 def test_parse_color_and_comment():
@@ -220,6 +230,9 @@ def test_probability_sum_diagnostic():
     twice = (GEO + "image A prob p { A @ 0 0 ; A @ 1 0 ; A @ 0 1 ; A @ 1 1 }\n"
              "image A prob p { A @ 0 0 ; A @ 1 0 ; A @ 0 1 ; A @ 1 1 }\nend\n")
     assert _diagnostics(twice) == ["A: probabilities sum to 2*p"]
+    half = (GEO + "image A prob 1/2 { A @ 0 0 ; A @ 1 0 ; A @ 0 1 ; A @ 1 1 }\n"
+            "image A prob 1-p { A @ 0 0 ; A @ 1 0 ; A @ 0 1 ; A @ 1 1 }\nend\n")
+    assert _diagnostics(half) == ["A: probabilities sum to 3/2 - p"]
 
 
 def test_area_identity_rejects_identity_map():
@@ -229,6 +242,7 @@ def test_area_identity_rejects_identity_map():
     with pytest.raises(RuleValidationError) as exc:
         parse_rule(source)
     assert "area 1 != 4" in str(exc.value)
+    assert _diagnostics(GEO + "image A { }\nend\n") == ["A option 0: area 0 != 4"]
 
 
 def test_overlap_diagnostic():
@@ -266,6 +280,7 @@ def test_bind_random_pp():
     again = builtin("random_pp").bind(Fraction(1, 2))
     assert again.unbound is not half.unbound
     assert again == half and again != sure
+    assert (half == 5) is False
     with pytest.raises(TypeError):
         hash(half)
 
@@ -299,3 +314,9 @@ def test_prob_str_forms():
     assert str(Prob(Fraction(1, 2))) == "1/2"
     assert str(Prob(Fraction(0), Fraction(1))) == "p"
     assert str(Prob(Fraction(1), Fraction(-1))) == "1-p"
+    assert str(Prob(Fraction(0), Fraction(2))) == "2*p"
+    # sums of options: the sign goes in the operator, a unit coefficient away
+    assert str(Prob(Fraction(1, 2), Fraction(1))) == "1/2 + p"
+    assert str(Prob(Fraction(3, 2), Fraction(-1))) == "3/2 - p"
+    assert str(Prob(Fraction(2), Fraction(-2))) == "2 - 2*p"
+    assert str(Prob(Fraction(0), Fraction(-1))) == "-p"

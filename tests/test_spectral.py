@@ -106,6 +106,9 @@ def test_pf_eigenvalue_trivial_rule_exact():
         "rule quad\nengine geometric\nexpansion 2 2\nbrick A 1 1\n"
         "image A { A @ 0 0 ; A @ 1 0 ; A @ 0 1 ; A @ 1 1 }\nend\n")
     assert pf_eigenvalue(matrix(rule)) == 4.0
+    # a nilpotent matrix maps the start to zero: eigenvalue 0, not a spin
+    zero = SubstitutionMatrix(("A", "B"), ((Fraction(0),) * 2,) * 2, (1, 1), 0)
+    assert pf_eigenvalue(zero) == 0.0
 
 
 # repr of (pf_eigenvalue, brick_frequencies), as `spectrum` prints them;
