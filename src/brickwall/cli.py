@@ -97,14 +97,23 @@ def cmd_generate(args) -> int:
     return 0
 
 
+# one joint of analyze --json, as json.dumps(doc, indent=2) writes it
+_JOINT_JSON = '    {\n      "x": %d,\n      "y0": %d,\n      "y1": %d\n    }'
+
+
 def cmd_analyze(args) -> int:
     rule = _prepared(args)
     report, verdict = analyze(rule, args.seed_brick, args.n, args.rng_seed)
     if args.json:
-        doc = report.to_json()
+        doc = report._replace(joints=()).to_json()
         if verdict is not None:
             doc["prop2"] = verdict.to_json()
-        print(json.dumps(doc, indent=2))
+        # the bytes of json.dumps with the report's joints: its indented
+        # encoder is pure Python, so the joints, the part that grows with the
+        # wall, take one %-format each; only v_max, an int, comes before them
+        head, empty, tail = json.dumps(doc, indent=2).partition('"joints": []')
+        joints = ",\n".join(map(_JOINT_JSON.__mod__, report.joints))
+        print(head + (f'"joints": [\n{joints}\n  ]' if joints else empty) + tail)
         return 0
     print(f"rule {rule.name}, seed {args.seed_brick}, n={args.n}:"
           f" {len(report.pattern)} bricks")

@@ -3,7 +3,8 @@
 Level-by-level (breadth-first) generation so a single substitution step is
 a first-class, testable operation.  Random rules consume one PRNG draw per
 brick whose type has more than one option, in lexicographic (y, x, type_id)
-order, which pins down the whole stream for reproducibility.
+order, which pins down the whole stream for reproducibility.  iterate makes
+the last _SUPERTILE_LEVELS levels of a deterministic certified wall one step.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .spectral import max_bricks
 MAX_DEPTH = 12  # allocation guard on the depth of any wall
 MAX_BRICKS = 2 ** 21  # most bricks one wall may hold, checked before building
 _SLICE_ROWS = 4096  # bricks per rendered slice, text and SVG alike
+_SUPERTILE_LEVELS = 3  # levels iterate's last step spans, where it is exact
 
 
 class OverlapError(RuleError):
@@ -219,15 +221,20 @@ def _substitution_table(rule: SubstitutionRule):
     return table
 
 
-def _substitute_bricks(rule: SubstitutionRule, rows, rng) -> Tuple[tuple, ...]:
+def _substitute_bricks(rule: SubstitutionRule, rows, rng,
+                       supertiles=False) -> Tuple[tuple, ...]:
     """The children of rows, in _ORDER, with one draw per parent that has
     options, in the order of rows: pass a Pattern's, which keeps _ORDER.
+    With supertiles, each parent's supertile is scaled into place instead.
     Children are filed by y, each row is sorted by x alone, and the rows
     are joined bottom to top.  A row arrives as a few ascending runs, one
     per parent row that feeds it, so its sort is near-linear.  Two children
     on one (x, y) overlap, and no caller returns a wall that overlaps, so x
     orders a row as (x, type_id) would."""
     table, l1, l2 = rule.substitution_table, rule.lambda1, rule.lambda2
+    if supertiles:
+        k = _SUPERTILE_LEVELS
+        table, l1, l2 = rule.supertile_table, l1 ** k, l2 ** k
     draw = rng.next_u64 if rng is not None else None
     filed = defaultdict(list)
     for t, x, y, _, _ in rows:
@@ -332,11 +339,23 @@ def iterate(rule: SubstitutionRule, seed_type: str, n: int,
     """Apply the rule n times to a single seed brick at the origin.
 
     Levels are swept for overlaps only when the rule's overlap certificate
-    is not "certified"."""
+    is not "certified".  A deterministic certified rule makes its last
+    _SUPERTILE_LEVELS steps as one, each brick becoming its type's supertile."""
     _require_geometric(rule)
-    for pattern in _walls(rule, seed_type, n, rng_seed):
+    seed, sweep = _check_wall(rule, seed_type, n, rng_seed)
+    rng = SplitMix64(rng_seed) if rule.is_random else None
+    last = (_SUPERTILE_LEVELS if rng is None and not sweep
+            and n >= _SUPERTILE_LEVELS else 0)
+    for rows in _wall_rows(rule, seed, n - last, rng, sweep):
         pass
-    return pattern
+    if last:  # each type's supertile is built on first need, once per rule
+        table = rule.supertile_table
+        for t in {row[0] for row in rows}.difference(table):
+            *_, supertile = _wall_rows(rule, rule.get_type(t), last, None, False)
+            table[t] = ((), (supertile,))
+        rows = _substitute_bricks(rule, rows, None, supertiles=True)
+    return Pattern._of_rows(rule.name, n, seed_type,
+                            rng_seed if rng is not None else None, rows)
 
 
 def substitute_once(rule: SubstitutionRule, pattern: Pattern,

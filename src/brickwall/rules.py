@@ -171,6 +171,13 @@ class SubstitutionRule:
         from .generate import _substitution_table  # generate imports rules
         return _substitution_table(self)
 
+    @cached_property
+    def supertile_table(self):
+        """Per type id, its supertile, the wall generate._SUPERTILE_LEVELS
+        levels down from it, in substitution_table's shape; generate.iterate
+        fills it on first need."""
+        return {}
+
     def get_type(self, type_id: str) -> BrickType:
         for t in self.types:
             if t.id == type_id:

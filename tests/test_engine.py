@@ -14,7 +14,8 @@ from brickwall import (BUILTIN_SOURCES, Brick, OverlapError, Pattern,
                        iterate, iterate_block, overlap_certificate,
                        parse_pattern, parse_rule, render_grid, sample_vmax,
                        substitute_once, to_svg, vertical_joints)
-from brickwall.generate import MAX_BRICKS, _substitute_bricks, levels
+from brickwall.generate import (MAX_BRICKS, _SUPERTILE_LEVELS,
+                                _substitute_bricks, levels)
 from oracles import ptm_oracle, sorted_substitution_step
 
 SIGMA3_B22_IMAGE = {
@@ -379,6 +380,63 @@ def test_overlap_certificate_agrees_with_the_sweep(rule):
         iterate(rule, seed_type, cert.level - 1)
     with pytest.raises(OverlapError):
         iterate(rule, cert.seed_type, cert.level)
+
+
+@given(small_rules().filter(
+    lambda rule: rule.overlap_certificate.verdict == "certified"))
+@example(builtin("sigma3"))
+@example(builtin("rows23"))
+@settings(max_examples=30, deadline=None)
+def test_iterate_equals_the_level_loop(rule):
+    # n = 0..6 lies on both sides of the supertile step's _SUPERTILE_LEVELS
+    for seed_type in rule.type_ids:
+        for n, wall in enumerate(levels(rule, seed_type, 6)):
+            pattern = iterate(rule, seed_type, n)
+            assert pattern == wall  # rows, level, seed_type and rng_seed
+            assert (pattern.level, pattern.seed_type, pattern.rng_seed) == \
+                (n, seed_type, None)
+
+
+# lambda2 = 1, so its overlap certificate is undecided
+HOLES_RULE = ("rule holes\nengine geometric\nexpansion 2 1\nbrick A 2 1\n"
+              "image A { A @ 0 0 ; A @ 3 0 }\nend\n")
+
+
+def test_supertile_step_only_where_it_is_exact(monkeypatch):
+    parsed = [builtin(name) for name in BUILTIN_SOURCES]
+    random_rules = [builtin("random_self_similar"),
+                    builtin("random_pp", p=0), builtin("random_pp", p=1)]
+    # parsing and bind build no table
+    assert all("supertile_table" not in vars(rule)
+               for rule in parsed + random_rules)
+    for rule in random_rules:  # whatever p, a random rule keeps the loop
+        iterate(rule, "B22", 5, rng_seed=1)
+    holes, sweeps = parse_rule(HOLES_RULE), []
+    sweep = brickwall.generate.check_no_overlap
+    monkeypatch.setattr(brickwall.generate, "check_no_overlap",
+                        lambda rows: (sweeps.append(len(rows)), sweep(rows)))
+    assert len(iterate(holes, "A", 4)) == 16
+    assert sweeps == [2, 4, 8, 16]  # swept once per level
+    assert all("supertile_table" not in vars(rule)
+               for rule in random_rules + [holes])
+
+
+def test_each_supertile_is_built_once_per_rule():
+    rule, k = builtin("sigma3"), _SUPERTILE_LEVELS
+    iterate(rule, "B11", k - 1)
+    assert rule.supertile_table == {}  # below k levels, no supertile step
+    seed_wall = iterate(rule, "B11", k)
+    assert rule.supertile_table == {"B11": ((), (seed_wall.rows,))}
+    iterate(rule, "B11", k + 1)  # adds the types of B11's level-1 wall
+    assert set(rule.supertile_table) == \
+        {"B11"} | {t for t, *_ in iterate(rule, "B11", 1).rows}
+    built = dict(rule.supertile_table)
+    for seed_type in rule.type_ids:
+        for n in range(k, k + 3):
+            iterate(rule, seed_type, n)
+    assert set(rule.supertile_table) == set(rule.type_ids)
+    assert all(rule.supertile_table[t] is entry for t, entry in built.items())
+    assert builtin("sigma3").supertile_table == {}  # one table per rule
 
 
 def test_brick_budget_fails_before_building():

@@ -14,8 +14,9 @@ from fractions import Fraction
 
 import pytest
 
-from brickwall import (Brick, Pattern, RuleError, builtin, generate_pattern,
-                       iterate, parse_pattern, parse_rule, to_svg)
+from brickwall import (BUILTIN_SOURCES, Brick, Pattern, RuleError, builtin,
+                       generate_pattern, iterate, parse_pattern, parse_rule,
+                       to_svg)
 from brickwall import format_pattern, sample_vmax, vertical_joints
 from brickwall.cli import main
 from brickwall.generate import _SLICE_ROWS as C
@@ -291,6 +292,13 @@ ANALYZE_DIGESTS = [
     ("--rule random_pp --seed-brick B22 -n 4 -p 1/2 --rng-seed 7",
      "198b39a66bff7009e3a9ffb2f34656959f62cf87f5df8465c3d8326949058807",
      "d1badfbdb95c9bf7fa0f04729f6524f98ec427b2f074690f5ce2f2971e629a50"),
+    # recorded while --json still went through one json.dumps(indent=2)
+    ("--rule sigma3 --seed-brick B22 -n 0",  # "joints": []
+     "45b2d4b155053673bf0209c95e393ef50695a8e8c490d535f911b1b245cc33d3",
+     "a39475b34cf1d589a28b9913cb795647a5685777e22007861a1144babed2d02a"),
+    ("--rule ptm --seed-brick 1 -n 3",
+     "a5c42b4bbf5c209ef9341861900a4b446e564867d0e257b09f59b600c9e3aafb",
+     "a51d67d46728c4a11d6daac43381df619e7f1c882e156bd29d8ae4d90a9229d8"),
 ]
 
 
@@ -300,6 +308,25 @@ def test_cli_analyze_frozen_digests(args, text_sha, json_sha):
         code, stdout, stderr = run("analyze", *args.split(), *extra)
         assert code == 0 and stderr == ""
         assert hashlib.sha256(stdout.encode()).hexdigest() == expected
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SOURCES))
+def test_cli_analyze_json_is_the_indented_dump(name):
+    p = Fraction(1, 3) if name == "random_pp" else None
+    rule = builtin(name, p=p)
+    rng_seed = 7 if rule.is_random else None
+    extra = ["-p", "1/3"] if p is not None else []
+    extra += ["--rng-seed", "7"] if rng_seed is not None else []
+    for seed_type in rule.type_ids:
+        for n in range(4):
+            report, verdict = analyze(rule, seed_type, n, rng_seed)
+            doc = report.to_json()
+            if verdict is not None:
+                doc["prop2"] = verdict.to_json()
+            code, stdout, _ = run("analyze", "--rule", name, "--seed-brick",
+                                  seed_type, "-n", str(n), "--json", *extra)
+            assert code == 0
+            assert stdout == json.dumps(doc, indent=2) + "\n"
 
 
 # sha256 of to_svg output; sigma3 and ptm_skewed were frozen before to_svg
