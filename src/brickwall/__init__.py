@@ -10,11 +10,11 @@ counts, and Monte-Carlo statistics of V_max(p).
 from .builtins import BUILTIN_SOURCES, builtin
 from .generate import (Brick, LetterGrid, OverlapError, Pattern,
                        check_no_overlap, format_pattern, generate_pattern,
-                       iterate, iterate_block, overlap_certificate,
-                       parse_pattern, render_grid, substitute_once)
-from .joints import (JointReport, Prop2Verdict, check_prop2,
-                     crossing_options, has_crossing, prop2_bound,
-                     report_with_crossings, vertical_joints)
+                       iterate, iterate_block, parse_pattern, render_grid,
+                       substitute_once)
+from .joints import (JointReport, Prop2Verdict, analyze, crossing_options,
+                     has_crossing, prop2_bound, report_with_crossings,
+                     vertical_joints)
 from .rng import SplitMix64, derive_seed
 from .rules import (BrickType, ImageOption, Prob,
                     RuleError, RuleSyntaxError, RuleValidationError,
@@ -28,16 +28,14 @@ from .svg import to_svg
 __version__ = "0.1.0"
 
 __all__ = [
-    "BUILTIN_SOURCES", "Brick", "BrickType", "ImageOption",
-    "JointReport", "LetterGrid", "OverlapError", "Pattern",
-    "Prob", "Prop2Verdict", "RuleError",
-    "RuleSyntaxError", "RuleValidationError", "SplitMix64",
-    "SubstitutionMatrix", "SubstitutionRule", "VmaxStats",
+    "BUILTIN_SOURCES", "Brick", "BrickType", "ImageOption", "JointReport",
+    "LetterGrid", "OverlapError", "Pattern", "Prob", "Prop2Verdict",
+    "RuleError", "RuleSyntaxError", "RuleValidationError", "SplitMix64",
+    "SubstitutionMatrix", "SubstitutionRule", "VmaxStats", "analyze",
     "assert_area_eigenvector", "brick_frequencies", "builtin",
-    "check_no_overlap", "check_prop2", "count_bricks",
-    "count_realizations", "crossing_options", "derive_seed",
-    "format_pattern", "generate_pattern", "has_crossing", "iterate",
-    "iterate_block", "matrix", "overlap_certificate", "parse_pattern",
+    "check_no_overlap", "count_bricks", "count_realizations",
+    "crossing_options", "derive_seed", "format_pattern", "generate_pattern",
+    "has_crossing", "iterate", "iterate_block", "matrix", "parse_pattern",
     "parse_rule", "pf_eigenvalue", "prop2_bound", "render_grid",
     "report_with_crossings", "sample_vmax", "serialize_rule",
     "substitute_once", "to_svg", "validate_rule", "vertical_joints",

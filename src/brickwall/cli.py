@@ -36,10 +36,13 @@ def _load_rule(ref: str):
         raise ValueError(f"unknown rule '{ref}' (not a builtin, not a file)")
     else:
         try:
-            with open(ref, encoding="utf-8") as fh:
+            with open(ref, encoding="utf-8-sig") as fh:
                 source = fh.read()
         except OSError as e:
             raise ValueError(f"cannot read rule file '{ref}': {e.strerror}") from None
+        except UnicodeDecodeError as e:
+            raise ValueError(f"cannot read rule file '{ref}': not UTF-8"
+                             f" ({e.reason} at byte {e.start})") from None
     return parse_rule(source)
 
 

@@ -137,7 +137,8 @@ class OverlapCertificate(NamedTuple):
 
 
 def overlap_certificate(rule: SubstitutionRule) -> OverlapCertificate:
-    """Decide once per rule whether its walls can overlap.
+    """Decide whether a rule's walls can overlap; rule.overlap_certificate
+    runs this once per rule and caches the result.
 
     Works on pairs (t1, t2, dx, dy): two bricks whose anchors differ by
     (dx, dy).  A pair in a level-(m+1) wall is two siblings or two children

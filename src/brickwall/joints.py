@@ -13,7 +13,7 @@ from operator import sub
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from .generate import _ORDER, Pattern, generate_pattern, levels
-from .rules import RuleError, SubstitutionRule
+from .rules import SubstitutionRule
 
 
 class JointReport(NamedTuple):
@@ -154,24 +154,18 @@ class Prop2Verdict(NamedTuple):
         }
 
 
-def check_prop2(rule: SubstitutionRule, seed_type: str, n_max: int) -> Prop2Verdict:
-    """Measure max v_max over n <= n_max against the joint-length bound.
-
-    Geometric deterministic rules get the full verdict.  Block rules are
-    measured only (no crossing analysis; their images are not rectangles, so
-    the bound does not apply).
-    """
-    if rule.is_random:
-        raise RuleError("check_prop2 needs a deterministic rule")
-    return analyze(rule, seed_type, n_max)[1]
-
-
 def analyze(rule: SubstitutionRule, seed_type: str, n: int,
             rng_seed: Optional[int] = None
             ) -> Tuple[JointReport, Optional[Prop2Verdict]]:
-    """The level-n joint report with crossings and, for a deterministic
-    rule, the check_prop2 verdict over levels 1..n, from one generation
-    pass of n steps."""
+    """The level-n joint report with crossings and the verdict on the
+    joint-length bound over levels 1..n, from one generation pass of n
+    steps.
+
+    A random rule gets no verdict.  A geometric deterministic rule gets the
+    full verdict.  A block rule's report carries the crossings of each
+    letter's level-1 wall, but its verdict only measures: its images are not
+    rectangles, so the bound does not apply.
+    """
     measured = 0  # level 0, a single brick, has no joints
     for pattern in levels(rule, seed_type, n, rng_seed):
         report = vertical_joints(pattern)

@@ -5,16 +5,18 @@ joints and crossings by rasterizing into unit cells, eigenvectors by
 exact rational elimination, a substitution step by one sort of the whole
 level, matrix powers by repeated squaring, the parity wall from binary
 digit sums, frequencies by counting the bricks of a wall, text and SVG by
-one string per brick joined once.  Slow and simple on purpose.
+one string per brick joined once, the law of V_max by enumerating every
+realisation of a random wall.  Slow and simple on purpose.
 """
 
 import bisect
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 from brickwall import SubstitutionMatrix
 from brickwall.generate import _ORDER
-from brickwall.joints import _edge_segments
+from brickwall.joints import _edge_segments, _v_max
 from brickwall.svg import CELL_SIZE, MORTAR_COLOR, MORTAR_WIDTH, _fmt, _Memo
 
 
@@ -89,6 +91,32 @@ def sorted_substitution_step(rule, rows, rng):
             out.append((c, rule.lambda1 * x + dx, rule.lambda2 * y + dy, w, h))
     out.sort(key=_ORDER)
     return tuple(out)
+
+
+def exact_vmax_law(rule, seed_type, n):
+    """P(V_max = v) of the level-n wall of a bound random rule, as exact
+    Fractions by v: every choice of options, level by level, one per brick,
+    each realisation weighted by the product of its options' probabilities.
+    Choices of probability 0 are dropped."""
+    seed, l1, l2 = rule.get_type(seed_type), rule.lambda1, rule.lambda2
+    walls = [(Fraction(1), ((seed_type, 0, 0, seed.width, seed.height),))]
+    for _ in range(n):
+        grown = []
+        for weight, rows in walls:
+            choices = [[opt for opt in rule.images[t] if opt.probability.value]
+                       for t, *_ in rows]
+            for pick in product(*choices):
+                w, children = weight, []
+                for (_, x, y, _, _), opt in zip(rows, pick):
+                    w *= opt.probability.value
+                    children += [(c, l1 * x + dx, l2 * y + dy, cw, ch)
+                                 for c, dx, dy, cw, ch in opt.placements]
+                grown.append((w, tuple(sorted(children, key=_ORDER))))
+        walls = grown
+    law = Counter()
+    for weight, rows in walls:
+        law[_v_max(rows)] += weight
+    return dict(sorted(law.items()))
 
 
 def exact_left_eigenvector(entries, lam):

@@ -11,11 +11,12 @@ import brickwall.generate
 from brickwall import (BUILTIN_SOURCES, Brick, OverlapError, Pattern,
                        RuleError, SplitMix64, builtin, check_no_overlap,
                        count_bricks, format_pattern, generate_pattern,
-                       iterate, iterate_block, overlap_certificate,
-                       parse_pattern, parse_rule, render_grid, sample_vmax,
-                       substitute_once, to_svg, vertical_joints)
+                       iterate, iterate_block, parse_pattern, parse_rule,
+                       render_grid, sample_vmax, substitute_once, to_svg,
+                       vertical_joints)
 from brickwall.generate import (MAX_BRICKS, _SUPERTILE_LEVELS,
-                                _substitute_bricks, levels)
+                                _substitute_bricks, levels,
+                                overlap_certificate)
 from oracles import ptm_oracle, sorted_substitution_step
 
 SIGMA3_B22_IMAGE = {

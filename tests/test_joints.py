@@ -10,8 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import brickwall.generate
 import brickwall.joints
-from brickwall import (BUILTIN_SOURCES, Brick, Pattern, builtin,
-                       check_prop2, parse_rule, crossing_options,
+from brickwall import (BUILTIN_SOURCES, Brick, Pattern, analyze, builtin,
+                       parse_rule, crossing_options,
                        generate_pattern, has_crossing, iterate, prop2_bound,
                        report_with_crossings, vertical_joints)
 from brickwall.cli import main
@@ -256,7 +256,7 @@ def test_prop2_bound_values():
 
 
 def test_check_prop2_rows23():
-    verdict = check_prop2(builtin("rows23"), "B21", 4)
+    verdict = analyze(builtin("rows23"), "B21", 4)[1]
     assert verdict.crossings == {"B11": False, "B21": False}
     assert verdict.hypothesis_holds is True
     assert verdict.bound == 4
@@ -265,7 +265,7 @@ def test_check_prop2_rows23():
 
 
 def test_check_prop2_sigma3_hypothesis_fails():
-    verdict = check_prop2(builtin("sigma3"), "B22", 3)
+    verdict = analyze(builtin("sigma3"), "B22", 3)[1]
     assert verdict.crossings["B21"] is True
     assert verdict.hypothesis_holds is False
     assert verdict.measured_max == 11
@@ -273,7 +273,7 @@ def test_check_prop2_sigma3_hypothesis_fails():
 
 
 def test_check_prop2_block_rule():
-    verdict = check_prop2(builtin("ptm_skewed"), "0", 4)
+    verdict = analyze(builtin("ptm_skewed"), "0", 4)[1]
     assert verdict.crossings == {}
     assert verdict.hypothesis_holds is None
     assert verdict.bound is None
@@ -299,13 +299,15 @@ def test_analysis_builds_each_level_once(monkeypatch, capsys):
     assert "34077 bricks" in capsys.readouterr().out
     assert calls == {"steps": 7, "has_crossing": 3}  # one per type
     calls.update(steps=0, has_crossing=0)
-    assert check_prop2(builtin("sigma3"), "B22", 4).measured_max == 11
+    assert analyze(builtin("sigma3"), "B22", 4)[1].measured_max == 11
     assert calls == {"steps": 4, "has_crossing": 3}
 
 
 def test_check_prop2_rejects_random():
+    rule = builtin("random_self_similar")
     with pytest.raises(ValueError):
-        check_prop2(builtin("random_self_similar"), "B22", 2)
+        analyze(rule, "B22", 2)
+    assert analyze(rule, "B22", 2, rng_seed=1)[1] is None
 
 
 def test_report_with_crossings_payload():

@@ -2,7 +2,6 @@
 comments state, and every name the library exports has a user."""
 
 import ast
-import json
 import pathlib
 import re
 
@@ -27,6 +26,8 @@ def test_readme_library_example():
             exec(compile(ast.Module([stmt], []), "README.md", "exec"), ns)
     assert len(ns["pat"].bricks) == 133
     assert ns["rep"].v_max == 11
+    assert ns["verdict"].measured_max == 11
+    assert ns["verdict"].hypothesis_holds is False
     assert shown["pf_eigenvalue"] == pytest.approx(4.000000000811549, abs=1e-12)
     assert shown["brick_frequencies"] == pytest.approx((5 / 13, 6 / 13, 2 / 13),
                                                        abs=1e-6)
@@ -35,8 +36,7 @@ def test_readme_library_example():
 
 def test_every_export_has_a_user():
     # a user is code in src/, scripts/ or perfbench/ that names it (its own
-    # definition and the export list do not count), a layer the benchmark
-    # times (BENCHMARK.json's "module.name.unit"), or README
+    # definition and the export list do not count), or README
     used = set()
     for part in ("src", "scripts", "perfbench"):
         for path in sorted(ROOT.glob(f"{part}/**/*.py")):
@@ -47,7 +47,5 @@ def test_every_export_has_a_user():
                     used.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     used.add(node.attr)
-    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    used.update(layer["name"].split(".")[1] for layer in benchmark["per_layer"])
     used.update(re.findall(r"\w+", README.read_text(encoding="utf-8")))
     assert [name for name in brickwall.__all__ if name not in used] == []

@@ -5,7 +5,9 @@ import hashlib
 import io
 import json
 import os
+import pathlib
 import re
+import runpy
 import subprocess
 import sys
 import time
@@ -24,6 +26,8 @@ from brickwall.joints import analyze
 from brickwall.rules import PALETTE
 from oracles import one_string_per_brick_svg, one_string_per_brick_text
 from test_stats import PCLASH
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 SINGLE_BRICK_SVG = (
     '<svg xmlns="http://www.w3.org/2000/svg" width="23" height="23"'
@@ -532,6 +536,11 @@ def test_cli_validate_swap_rule(tmp_path):
                     " A @ 0 1 ; A @ 1 1 ; A @ 2 1 ; A @ 3 1 }\nend\n")
     assert run("validate", "--rule", str(swap)) == \
         (0, "ok: rule 'swap' (geometric, 2 types)\n", "")
+    bom = tmp_path / "bom.rule"  # saved with a UTF-8 byte-order mark
+    bom.write_bytes(b"\xef\xbb\xbf"
+                    + swap.read_bytes().replace(b"swap", b"bom"))
+    assert run("validate", "--rule", str(bom)) == \
+        (0, "ok: rule 'bom' (geometric, 2 types)\n", "")
     # eigenvalues +-4: no unique dominant eigenvector, a clean diagnostic,
     # given at the first repeated iterate
     start = time.perf_counter()
@@ -557,6 +566,11 @@ def test_cli_validate_syntax_error(tmp_path):
     code, stdout, stderr = run("validate", "--rule", str(broken))
     assert code == 1
     assert "non-positive dimension" in (stdout + stderr)
+    latin1 = tmp_path / "latin1.rule"
+    latin1.write_bytes("rule caf\xe9\nend\n".encode("latin-1"))
+    assert run("validate", "--rule", str(latin1)) == (
+        2, "", f"error: cannot read rule file '{latin1}': not UTF-8"
+               " (invalid continuation byte at byte 8)\n")
 
 
 def test_cli_analyze_invalid_rule_file(tmp_path):
@@ -672,6 +686,34 @@ def test_cli_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert res.returncode == 0
     assert res.stdout.startswith("ok: rule 'ptm'")
+
+
+def test_scripts_run_as_fresh_processes(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    scripts = ROOT / "scripts"
+
+    def script(name, *args):
+        return subprocess.run(
+            [sys.executable, str(scripts / name), *args],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60)
+
+    figures = tmp_path / "figures"
+    res = script("render_figures.py", "--outdir", str(figures))
+    assert (res.returncode, res.stderr) == (0, "")
+    gallery = runpy.run_path(str(scripts / "render_figures.py"))["GALLERY"]
+    assert len(gallery) == 9
+    assert sorted(p.name for p in figures.iterdir()) == sorted(
+        row[0] for row in gallery)
+    for fname, name, seed_brick, n, rng_seed, p in gallery:
+        rule = builtin(name, p=p)
+        pat = generate_pattern(rule, seed_brick, n, rng_seed=rng_seed)
+        assert (figures / fname).read_text() == to_svg(pat, rule), fname
+    res = script("vmax_vs_p.py", "--trials", "3", "-n", "3", "--steps", "2")
+    assert (res.returncode, res.stderr) == (0, "")
+    assert res.stdout == ("     p   min     mean   max\n"
+                          "     0    16    16.00    16\n"
+                          "   1/2    14    14.00    14\n"
+                          "     1     2     2.00     2\n")
 
 
 @pytest.mark.parametrize("module", ["numpy", "dataclasses"])

@@ -1,6 +1,7 @@
 """Seed derivation and Monte-Carlo sampling of V_max."""
 
 import hashlib
+import math
 import re
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from brickwall import (OverlapError, RuleError, SplitMix64, builtin,
                        derive_seed, iterate, parse_rule, sample_vmax,
                        vertical_joints)
 from brickwall import generate
+from oracles import exact_vmax_law
 
 # published reference outputs for splitmix64 with seed 0
 SPLITMIX64_SEED0 = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
@@ -77,6 +79,35 @@ def test_degenerate_p_zero_growth():
     a = sample_vmax(builtin("random_pp"), "B22", 3, 0, trials=5, base_seed=0)
     b = sample_vmax(builtin("random_pp"), "B22", 3, 0, trials=5, base_seed=99)
     assert a.samples == b.samples
+
+
+def test_exact_vmax_law():
+    rule = builtin("random_pp")
+    law = exact_vmax_law(rule.bind(Fraction(1, 2)), "B22", 2)
+    assert law == {2: Fraction(17, 512), 6: Fraction(219, 512),
+                   8: Fraction(69, 128)}
+    for p in (Fraction(1, 3), Fraction(3, 10), Fraction(7, 10)):
+        assert sum(exact_vmax_law(rule.bind(p), "B22", 2).values()) == 1
+    # one option has all the mass: a point mass at the only wall's v_max
+    for p, v_max in ((0, 8), (1, 2)):
+        assert exact_vmax_law(rule.bind(p), "B22", 2) == {v_max: 1}
+        for s in range(3):
+            pat = iterate(rule.bind(p), "B22", 2, rng_seed=s)
+            assert vertical_joints(pat).v_max == v_max
+
+
+@pytest.mark.parametrize("p", [Fraction(1, 3), Fraction(3, 10),
+                               Fraction(1, 2), Fraction(7, 10)])
+def test_sampler_follows_the_exact_vmax_law(p):
+    # each cell's count within 5 binomial standard errors of trials * P(v):
+    # a false alarm has odds of about 6e-7 per cell
+    rule, trials = builtin("random_pp"), 4000
+    law = exact_vmax_law(rule.bind(p), "B22", 2)
+    hist = sample_vmax(rule, "B22", 2, p, trials=trials, base_seed=1).histogram()
+    assert set(hist) <= set(law)
+    for v, q in law.items():
+        assert abs(hist.get(v, 0) - trials * q) <= 5 * math.sqrt(
+            trials * q * (1 - q)), (v, hist, law)
 
 
 def test_stats_summary_fields():
