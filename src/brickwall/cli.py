@@ -6,26 +6,22 @@ I/O errors (unknown rule or brick, malformed flags, an --rng-seed outside
 [0, 2**64) for any rule, a count -n too large to print, unreadable
 --rule, unwritable --out, stdout closed by its reader).  Error paths never
 write to --out.
+
+Each subcommand imports only what it runs (svg only for an .svg file, json
+only for JSON): without a bytecode cache a process compiles what it imports.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
 from fractions import Fraction
 
 from .builtins import BUILTIN_SOURCES
-from .generate import _text_slices, generate_pattern
-from .joints import analyze
 from .rng import check_rng_seed
 from .rules import RuleError, RuleSyntaxError, RuleValidationError, parse_rule
-from .spectral import brick_frequencies, count_bricks, matrix, pf_eigenvalue, \
-    realization_factors
-from .stats import sample_vmax
-from .svg import _svg_slices
 
 
 def _load_rule(ref: str):
@@ -83,12 +79,16 @@ def _prepared(args):
 
 
 def cmd_generate(args) -> int:
+    from .generate import _text_slices, generate_pattern
     rule = _prepared(args)
     if not args.out.endswith((".svg", ".txt")):
         raise ValueError(f"--out must end in .svg or .txt, got '{args.out}'")
     pattern = generate_pattern(rule, args.seed_brick, args.n, args.rng_seed)
-    slices = (_svg_slices(pattern, rule) if args.out.endswith(".svg")
-              else _text_slices(pattern))
+    if args.out.endswith(".svg"):
+        from .svg import _svg_slices
+        slices = _svg_slices(pattern, rule)
+    else:
+        slices = _text_slices(pattern)
     header = next(slices)  # the SVG header's checks run before --out opens
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -105,9 +105,11 @@ _JOINT_JSON = '    {\n      "x": %d,\n      "y0": %d,\n      "y1": %d\n    }'
 
 
 def cmd_analyze(args) -> int:
+    from .joints import analyze
     rule = _prepared(args)
     report, verdict = analyze(rule, args.seed_brick, args.n, args.rng_seed)
     if args.json:
+        import json
         doc = report._replace(joints=()).to_json()
         if verdict is not None:
             doc["prop2"] = verdict.to_json()
@@ -155,6 +157,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    import json
+    from .spectral import brick_frequencies, matrix, pf_eigenvalue
     rule = _bind_p(_load_rule(args.rule), args.p)
     M = matrix(rule)
     try:
@@ -197,6 +201,7 @@ def _count_str(rule, seed_type, n) -> str:
     """count_bricks in decimal, or exit 2 when it is too long to print.  By
     the area identity a level-n wall has at least seed area * (lambda1 *
     lambda2)^n / largest brick area bricks: over the limit, no counting."""
+    from .spectral import count_bricks
     count_bricks(rule, seed_type, 0)  # an uncountable rule exits 1 at any -n
     limit, source = _digit_limit()
     too_long = ValueError(f"-n {n}: the brick count has more than {limit}"
@@ -212,11 +217,13 @@ def _count_str(rule, seed_type, n) -> str:
 
 
 def cmd_count(args) -> int:
+    from .spectral import realization_factors
     rule = _load_rule(args.rule)
     _check_seed(rule, args.seed_brick)
     bricks = _count_str(rule, args.seed_brick, args.n)
     realizations = _exact_str(realization_factors(rule, args.seed_brick, args.n))
     if args.json:
+        import json
         print(json.dumps({"bricks": bricks, "realizations": realizations},
                          indent=2))
     else:
@@ -226,6 +233,8 @@ def cmd_count(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    import json
+    from .stats import sample_vmax
     rule = _load_rule(args.rule)
     _check_seed(rule, args.seed_brick)
     if not rule.is_parametric:

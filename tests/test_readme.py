@@ -1,9 +1,12 @@
 """README's library example runs as written and gives the values that its
-comments state, and every name the library exports has a user."""
+comments state, every name the library exports has a user, and the
+package's lazily loaded surface holds still."""
 
 import ast
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -49,3 +52,49 @@ def test_every_export_has_a_user():
                     used.add(node.attr)
     used.update(re.findall(r"\w+", README.read_text(encoding="utf-8")))
     assert [name for name in brickwall.__all__ if name not in used] == []
+
+
+EXPORTS = [
+    "BUILTIN_SOURCES", "Brick", "BrickType", "ImageOption", "JointReport",
+    "LetterGrid", "OverlapError", "Pattern", "Prob", "Prop2Verdict",
+    "RuleError", "RuleSyntaxError", "RuleValidationError", "SplitMix64",
+    "SubstitutionMatrix", "SubstitutionRule", "VmaxStats", "analyze",
+    "assert_area_eigenvector", "brick_frequencies", "builtin",
+    "check_no_overlap", "count_bricks", "count_realizations",
+    "crossing_options", "derive_seed", "format_pattern", "generate_pattern",
+    "has_crossing", "iterate", "iterate_block", "matrix", "parse_pattern",
+    "parse_rule", "pf_eigenvalue", "prop2_bound", "render_grid",
+    "report_with_crossings", "sample_vmax", "serialize_rule",
+    "substitute_once", "to_svg", "validate_rule", "vertical_joints",
+]
+
+
+def test_package_surface():
+    assert brickwall.__all__ == EXPORTS
+    ns = {}
+    exec("from brickwall import *", ns)
+    assert sorted(ns.keys() - {"__builtins__"}) == EXPORTS
+    assert set(EXPORTS) <= set(dir(brickwall))
+    with pytest.raises(AttributeError, match="nosuch"):
+        brickwall.nosuch
+    # submodules resolve after a bare `import brickwall`
+    res = subprocess.run(
+        [sys.executable, "-c", "import brickwall\n"
+         "print(brickwall.generate.__name__, brickwall.iterate.__module__)"],
+        capture_output=True, text=True, check=True)
+    assert res.stdout == "brickwall.generate brickwall.generate\n"
+
+
+def test_exports_are_looked_up_on_each_access(monkeypatch):
+    # a tracer patches the defining module: the package must not keep the
+    # original, nor keep the patch once it is undone
+    original = brickwall.generate.iterate
+    assert brickwall.iterate is original
+
+    def patched(*args, **kwargs):
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(brickwall.generate, "iterate", patched)
+    assert brickwall.iterate is patched
+    monkeypatch.undo()
+    assert brickwall.iterate is original

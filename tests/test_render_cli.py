@@ -716,18 +716,42 @@ def test_scripts_run_as_fresh_processes(tmp_path):
                           "     1     2     2.00     2\n")
 
 
-@pytest.mark.parametrize("module", ["numpy", "dataclasses"])
-def test_cli_import_leaves_module_out(module):
-    # the spectrum is plain Python, so no command imports numpy; dataclasses
-    # (with inspect and tokenize) would cost every process its import
+GEN = "generate --rule sigma3 --seed-brick B22 -n 3 --out "
+
+
+@pytest.mark.parametrize("argv, loads", [
+    ("spectrum --rule sigma3", {"spectral"}),
+    ("count --rule sigma3 --seed-brick B22 -n 3", {"spectral"}),
+    ("validate --rule ptm", set()),
+    ("validate --rule sigma3", {"generate", "spectral"}),
+    (GEN + "{tmp}/wall.txt", {"generate", "spectral"}),
+    (GEN + "{tmp}/wall.svg", {"generate", "spectral", "svg"}),
+    ("analyze --rule sigma3 --seed-brick B22 -n 3",
+     {"generate", "spectral", "joints"}),
+    ("sample --rule random_pp --seed-brick B22 -n 2 -p 1/2 --trials 3",
+     {"generate", "spectral", "joints", "stats"}),
+    (None, set()),  # a bare `import brickwall`: no submodule
+], ids=["spectrum", "count", "validate-block", "validate-geometric",
+        "generate-txt", "generate-svg", "analyze", "sample", "import"])
+def test_cli_import_leaves_module_out(argv, loads, tmp_path):
+    # a process compiles each module it imports when no bytecode is cached,
+    # so each subcommand imports only what it runs; the spectrum is plain
+    # Python, so no command imports numpy, and dataclasses (with inspect and
+    # tokenize) would cost every process its import
+    run = "import brickwall\n"
+    if argv is not None:
+        argv = argv.format(tmp=tmp_path).split()
+        run = ("import io, contextlib, brickwall.cli\n"
+               "with contextlib.redirect_stdout(io.StringIO()):\n"
+               f"    assert brickwall.cli.main({argv!r}) == 0\n")
+        loads = loads | {"cli", "builtins", "rng", "rules"}  # every command's
     res = subprocess.run(
-        [sys.executable, "-c",
-         "import io, sys, contextlib, brickwall.cli\n"
-         "with contextlib.redirect_stdout(io.StringIO()):\n"
-         "    assert brickwall.cli.main(['spectrum', '--rule', 'sigma3']) == 0\n"
-         f"print({module!r} in sys.modules)"],
+        [sys.executable, "-c", "import sys\n" + run +
+         "print(sorted(m for m in sys.modules if m.startswith('brickwall')))\n"
+         "print('numpy' in sys.modules, 'dataclasses' in sys.modules)"],
         capture_output=True, text=True, check=True)
-    assert res.stdout == "False\n"
+    expected = sorted(["brickwall", *(f"brickwall.{m}" for m in loads)])
+    assert res.stdout == f"{expected}\nFalse False\n"
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"])
