@@ -19,7 +19,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .builtins import BUILTIN_SOURCES
+from .builtins import BUILTIN_SOURCES, builtin
 from .rng import check_rng_seed
 from .rules import RuleError, RuleSyntaxError, RuleValidationError, parse_rule
 
@@ -27,18 +27,17 @@ from .rules import RuleError, RuleSyntaxError, RuleValidationError, parse_rule
 def _load_rule(ref: str):
     """Rule by builtin name or DSL file path, parsed and validated."""
     if ref in BUILTIN_SOURCES:
-        source = BUILTIN_SOURCES[ref]
-    elif not os.path.exists(ref):
+        return builtin(ref)
+    if not os.path.exists(ref):
         raise ValueError(f"unknown rule '{ref}' (not a builtin, not a file)")
-    else:
-        try:
-            with open(ref, encoding="utf-8-sig") as fh:
-                source = fh.read()
-        except OSError as e:
-            raise ValueError(f"cannot read rule file '{ref}': {e.strerror}") from None
-        except UnicodeDecodeError as e:
-            raise ValueError(f"cannot read rule file '{ref}': not UTF-8"
-                             f" ({e.reason} at byte {e.start})") from None
+    try:
+        with open(ref, encoding="utf-8-sig") as fh:
+            source = fh.read()
+    except OSError as e:
+        raise ValueError(f"cannot read rule file '{ref}': {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise ValueError(f"cannot read rule file '{ref}': not UTF-8"
+                         f" ({e.reason} at byte {e.start})") from None
     return parse_rule(source)
 
 

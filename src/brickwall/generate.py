@@ -278,8 +278,7 @@ def _check_brick_types(rule, bricks):
 def _check_wall(rule, seed_type, n, rng_seed):
     """Refuse a wall's arguments before any draw: the seed type, the depth,
     an unbound p, a random rule's rng_seed, then the brick budget.  Returns
-    the seed BrickType and whether a geometric wall's levels are swept for
-    overlaps: only when the rule's overlap certificate is not "certified"."""
+    the seed BrickType."""
     seed = rule.get_type(seed_type)
     if n < 0:
         raise ValueError(f"depth must be >= 0, got {n}")
@@ -292,15 +291,16 @@ def _check_wall(rule, seed_type, n, rng_seed):
             raise RuleError(f"rule '{rule.name}' is random; rng_seed is required")
         check_rng_seed(rng_seed)
     _check_budget(rule, seed_type, n)
-    return seed, (n > 0 and rule.engine == "geometric"
-                  and rule.overlap_certificate.verdict != "certified")
+    return seed
 
 
-def _wall_rows(rule, seed, n, rng, sweep):
+def _wall_rows(rule, seed, n, rng):
     """The rows of a geometric wall at levels 0..n: the seed brick at the
-    origin, then one substitution step per level, swept if sweep is set."""
+    origin, then one substitution step per level.  Every level is swept for
+    overlaps unless the rule's overlap certificate is "certified"."""
     rows = ((seed.id, 0, 0, seed.width, seed.height),)
     yield rows
+    sweep = n > 0 and rule.overlap_certificate.verdict != "certified"
     for _ in range(n):
         rows = _substitute_bricks(rule, rows, rng)
         if sweep:
@@ -308,31 +308,31 @@ def _wall_rows(rule, seed, n, rng, sweep):
         yield rows
 
 
-def _walls(rule, seed_type, n, rng_seed):
-    """Check the arguments, then yield the wall of one seed at levels 0..n,
-    each made from the one before by one substitution step: a Pattern for a
-    geometric rule, a LetterGrid for a block rule."""
-    seed, sweep = _check_wall(rule, seed_type, n, rng_seed)
-    if rule.engine == "block":
-        rows = [[seed_type]]
-        for level in range(n + 1):
-            if level:  # row r of every letter's image, side by side
-                rows = [[c for letter in row for c in rule.blocks[letter][r]]
-                        for row in rows for r in range(rule.lambda2)]
-            yield LetterGrid(tuple(map(tuple, rows)), level, seed_type)
-        return
-    rng = SplitMix64(rng_seed) if rule.is_random else None
-    rng_seed = rng_seed if rng is not None else None
-    for level, rows in enumerate(_wall_rows(rule, seed, n, rng, sweep)):
-        yield Pattern._of_rows(rule.name, level, seed_type, rng_seed, rows)
+def _grids(rule, seed_letter, n):
+    """The letter grids of a block wall at levels 0..n, each made from the
+    one before: row r of every letter's image, side by side."""
+    rows = [[seed_letter]]
+    for level in range(n + 1):
+        if level:
+            rows = [[c for letter in row for c in rule.blocks[letter][r]]
+                    for row in rows for r in range(rule.lambda2)]
+        yield LetterGrid(tuple(map(tuple, rows)), level, seed_letter)
 
 
 def levels(rule: SubstitutionRule, seed_type: str, n: int,
            rng_seed: Optional[int] = None) -> Iterator[Pattern]:
-    """The wall of one seed at levels 0..n, for either engine: n
-    substitution steps in all, each level made from the one before."""
-    for wall in _walls(rule, seed_type, n, rng_seed):
-        yield render_grid(rule, wall) if rule.engine == "block" else wall
+    """The wall of one seed at levels 0..n as a Pattern each, for either
+    engine: n substitution steps in all, each level made from the one
+    before.  The arguments are checked before the first level."""
+    seed = _check_wall(rule, seed_type, n, rng_seed)
+    if rule.engine == "block":
+        for grid in _grids(rule, seed_type, n):
+            yield render_grid(rule, grid)
+        return
+    rng = SplitMix64(rng_seed) if rule.is_random else None
+    rng_seed = rng_seed if rng is not None else None
+    for level, rows in enumerate(_wall_rows(rule, seed, n, rng)):
+        yield Pattern._of_rows(rule.name, level, seed_type, rng_seed, rows)
 
 
 def iterate(rule: SubstitutionRule, seed_type: str, n: int,
@@ -343,16 +343,16 @@ def iterate(rule: SubstitutionRule, seed_type: str, n: int,
     is not "certified".  A deterministic certified rule makes its last
     _SUPERTILE_LEVELS steps as one, each brick becoming its type's supertile."""
     _require_geometric(rule)
-    seed, sweep = _check_wall(rule, seed_type, n, rng_seed)
+    seed = _check_wall(rule, seed_type, n, rng_seed)
     rng = SplitMix64(rng_seed) if rule.is_random else None
-    last = (_SUPERTILE_LEVELS if rng is None and not sweep
-            and n >= _SUPERTILE_LEVELS else 0)
-    for rows in _wall_rows(rule, seed, n - last, rng, sweep):
+    last = (_SUPERTILE_LEVELS if rng is None and n >= _SUPERTILE_LEVELS
+            and rule.overlap_certificate.verdict == "certified" else 0)
+    for rows in _wall_rows(rule, seed, n - last, rng):
         pass
     if last:  # each type's supertile is built on first need, once per rule
         table = rule.supertile_table
         for t in {row[0] for row in rows}.difference(table):
-            *_, supertile = _wall_rows(rule, rule.get_type(t), last, None, False)
+            *_, supertile = _wall_rows(rule, rule.get_type(t), last, None)
             table[t] = ((), (supertile,))
         rows = _substitute_bricks(rule, rows, None, supertiles=True)
     return Pattern._of_rows(rule.name, n, seed_type,
@@ -379,7 +379,8 @@ def iterate_block(rule: SubstitutionRule, seed_letter: str, n: int) -> LetterGri
     """Grow a letter grid by block substitution, n levels from one letter."""
     if rule.engine != "block":
         raise RuleError(f"rule '{rule.name}' is not a block rule")
-    for grid in _walls(rule, seed_letter, n, None):
+    _check_wall(rule, seed_letter, n, None)
+    for grid in _grids(rule, seed_letter, n):
         pass
     return grid
 

@@ -195,11 +195,9 @@ def max_bricks(rule: SubstitutionRule, seed_type: str, n: int) -> int:
     bounds: every brick places, of each type, the most any of its options
     places; and the wall's area, which grows by lambda1*lambda2 per step
     under the area identity, over the smallest brick area.  Equals
-    count_bricks wherever that is defined; a block rule has lambda1*lambda2
-    letters per letter."""
+    count_bricks wherever that is defined, so for a block rule, whose
+    letters each have one image, it is lambda1*lambda2 letters per letter."""
     seed = rule.get_type(seed_type)
-    if rule.engine == "block":
-        return rule.expansion ** n
     rows, min_area = rule.growth_bounds
     v, _ = _level_counts(rule, rows, seed_type, n)
     return min(sum(v), seed.area * rule.expansion ** n // min_area)

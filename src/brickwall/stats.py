@@ -2,9 +2,9 @@
 
 Trial k is the wall iterate(rule.bind(p), seed, n, rng_seed=derive_seed(
 base_seed, k)) builds, so runs are reproducible and trials could be farmed
-out in parallel without sharing a stream.  The arguments, the brick budget
-and the overlap certificate are checked once, before any draw; a trial
-makes its n substitution steps and reads v_max from the wall's edge runs.
+out in parallel without sharing a stream.  The arguments and the brick
+budget are checked once, before any draw; a trial makes its n substitution
+steps, swept as iterate sweeps, and reads v_max from the wall's edge runs.
 Results are recorded in trial order.
 """
 
@@ -72,11 +72,11 @@ def sample_vmax(rule: SubstitutionRule, seed_type: str, n: int, p,
         raise RuleError(f"rule '{rule.name}' has no parameter p to sample over")
     bound = rule.bind(p)
     # base_seed is in range iff every base_seed ^ k is
-    seed, sweep = _check_wall(bound, seed_type, n, base_seed)
+    seed = _check_wall(bound, seed_type, n, base_seed)
     samples = []
     for k in range(trials):
         rng = SplitMix64(derive_seed(base_seed, k))
-        for rows in _wall_rows(bound, seed, n, rng, sweep):
+        for rows in _wall_rows(bound, seed, n, rng):
             pass
         samples.append(_v_max(rows))
     return VmaxStats(p, n, trials, base_seed, tuple(samples))

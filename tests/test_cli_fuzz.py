@@ -1,0 +1,151 @@
+"""Every rule the parser accepts gets an answer from every subcommand.
+
+The property runs all six subcommands in-process through cli.main on
+drawn rules at -n <= 3.  It checks the exit-code contract only: a code in
+{0, 1, 2}, one `error:` line on stderr for a failure, no escaping
+exception and no long run.  Whether an answer is right is left to the
+other tests.
+"""
+
+import contextlib
+import io
+import time
+
+from hypothesis import example, given, settings, strategies as st
+
+from brickwall.cli import main
+from test_engine import HOLES_RULE
+
+SIZES = [(1, 1), (2, 1), (1, 2), (2, 2)]
+OFFSETS = st.integers(-2, 4)
+SECONDS = 5  # the most one in-process call may take
+
+
+def _image(draw, sizes, tid, l1, l2):
+    """One image of tid: drawn placements that fit, then bricks filled in,
+    smallest type first, over the inflated outline of tid and the offset
+    box, or over the box in a drawn order, until the image holds its area.
+    A rule without a 1x1 type can fall short; the parser then refuses it,
+    which is an answer too."""
+    w, h = sizes[tid]
+    target = l1 * l2 * w * h
+    outline = [(x, y) for y in range(l2 * h) for x in range(l1 * w)]
+    box = [(x, y) for y in range(-2, 5) for x in range(-2, 5)]
+    wanted = draw(st.lists(st.tuples(st.sampled_from(sorted(sizes)), OFFSETS,
+                                     OFFSETS), max_size=3))
+    fill = draw(st.one_of(st.just(outline + box), st.permutations(box)))
+    by_area = sorted(sizes, key=lambda t: sizes[t][0] * sizes[t][1])
+    taken, body, area = set(), [], 0
+    for t, dx, dy in wanted + [(t, x, y) for x, y in fill for t in by_area]:
+        cw, ch = sizes[t]
+        cells = {(dx + i, dy + j) for i in range(cw) for j in range(ch)}
+        if area + cw * ch <= target and not cells & taken:
+            taken |= cells
+            body.append(f"{t} @ {dx} {dy}")
+            area += cw * ch
+    return " ; ".join(body)
+
+
+@st.composite
+def geometric_rules(draw):
+    """(rule text, seed type): 1-3 types of the four sizes, expansions 1-3
+    per axis, and per type one image or two weighted p and 1-p."""
+    ids = "ABC"[:draw(st.integers(1, 3))]
+    sizes = {t: draw(st.sampled_from(SIZES)) for t in ids}
+    l1, l2 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    lines = ["rule fuzz", "engine geometric", f"expansion {l1} {l2}"]
+    lines += [f"brick {t} {w} {h}" for t, (w, h) in sizes.items()]
+    for t in ids:
+        if draw(st.booleans()):
+            lines.append(f"image {t} {{ {_image(draw, sizes, t, l1, l2)} }}")
+        else:
+            for prob in ("p", "1-p"):
+                lines.append(f"image {t} prob {prob}"
+                             f" {{ {_image(draw, sizes, t, l1, l2)} }}")
+    return "\n".join(lines + ["end"]) + "\n", draw(st.sampled_from(ids))
+
+
+@st.composite
+def block_rules(draw):
+    """(rule text, seed letter): 1-3 letters of width 1-3, expansions 1-3
+    per axis and a skew of -2..2."""
+    ids = "ABC"[:draw(st.integers(1, 3))]
+    l1, l2 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    lines = ["rule fuzz", f"engine block skew {draw(st.integers(-2, 2))}",
+             f"expansion {l1} {l2}"]
+    lines += [f"brick {t} {draw(st.integers(1, 3))} 1" for t in ids]
+    for t in ids:
+        rows = [" ".join(draw(st.lists(st.sampled_from(ids), min_size=l1,
+                                       max_size=l1))) for _ in range(l2)]
+        lines.append(f"block {t} {{ {' ; '.join('row: ' + r for r in rows)} }}")
+    return "\n".join(lines + ["end"]) + "\n", draw(st.sampled_from(ids))
+
+
+def _rule(name, expansion, bricks, images):
+    return "\n".join([f"rule {name}", "engine geometric",
+                      f"expansion {expansion}", *bricks,
+                      *(f"image {t} {{ {body} }}" for t, body in images),
+                      "end"]) + "\n"
+
+
+SWAP = _rule("swap", "2 2", ["brick A 1 1", "brick B 2 1"], [
+    ("A", "B @ 0 0 ; B @ 0 1"),
+    ("B", " ; ".join(f"A @ {x} {y}" for y in range(2) for x in range(4)))])
+F139 = _rule("f139", "2 2", ["brick A 1 1"],
+             [("A", "A @ 2 0 ; A @ 2 1 ; A @ 1 2 ; A @ -1 1")])
+STONE = _rule("stone", "2 2", ["brick B11 1 1", "brick B21 2 1",
+                               "brick B22 2 2"], [
+    ("B11", "B22 @ 0 0"),
+    ("B21", "B21 @ 0 0 ; B21 @ 2 0 ; B11 @ 0 1 ; B21 @ 1 1 ; B11 @ 3 1"),
+    ("B22", "B21 @ 0 0 ; B21 @ 2 0 ; B11 @ 0 1 ; B21 @ 1 1 ; B11 @ 3 1 ;"
+            " B21 @ 0 2 ; B21 @ 2 2 ; B11 @ 0 3 ; B21 @ 1 3 ; B11 @ 3 3")])
+IDENT = _rule("ident", "1 1", ["brick A 1 1"], [("A", "A @ 0 0")])
+FLIP = _rule("flip", "1 1", ["brick A 1 1", "brick B 1 1"],
+             [("A", "B @ 0 0"), ("B", "A @ 0 0")])
+FAR = _rule("far", "2 2", ["brick A 1 1"],
+            [("A", "A @ 0 0 ; A @ 1 0 ; A @ 0 1 ; A @ 1 10001")])
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue(), time.perf_counter() - start
+
+
+@given(st.one_of(geometric_rules(), block_rules()), st.integers(0, 3),
+       st.sampled_from([".txt", ".svg"]))
+@example((SWAP, "A"), 3, ".txt")
+@example((HOLES_RULE, "A"), 3, ".txt")
+@example((F139, "A"), 3, ".svg")
+@example((STONE, "B22"), 3, ".txt")
+@example((IDENT, "A"), 3, ".svg")
+@example((FLIP, "B"), 3, ".txt")
+@example((FAR, "A"), 3, ".txt")
+@settings(max_examples=50, deadline=None)
+def test_every_accepted_rule_gets_an_answer(tmp_path_factory, rule, n, ext):
+    text, seed = rule
+    where = tmp_path_factory.mktemp("fuzz")
+    path = where / "fuzz.rule"
+    path.write_text(text)
+    p = ["-p", "1/3"] if "prob p" in text else []  # -p only where it binds
+    wall = ["--seed-brick", seed, "-n", str(n)]
+    calls = [
+        ["validate"],
+        ["spectrum", *p],
+        ["count", *wall],
+        ["generate", *wall, *p, "--rng-seed", "1", "--out", str(where / f"w{ext}")],
+        ["analyze", *wall, *p, "--rng-seed", "1"],
+        ["sample", *wall, "-p", "1/3", "--trials", "3"],
+    ]
+    for command, *args in calls:
+        code, err, seconds = _run([command, "--rule", str(path), *args])
+        assert code in (0, 1, 2), command
+        assert seconds < SECONDS, command
+        if code and command != "validate":
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), \
+                (command, err)
+        else:
+            assert err == "", (command, err)

@@ -9,7 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import brickwall.generate
 from brickwall import (BUILTIN_SOURCES, Brick, OverlapError, Pattern,
-                       RuleError, SplitMix64, builtin, check_no_overlap,
+                       RuleError, SplitMix64, analyze, builtin,
+                       check_no_overlap,
                        count_bricks, format_pattern, generate_pattern,
                        iterate, iterate_block, parse_pattern, parse_rule,
                        render_grid, sample_vmax, substitute_once, to_svg,
@@ -294,6 +295,10 @@ def test_certified_rule_skips_the_sweep(monkeypatch):
     rule = builtin("sigma3")
     monkeypatch.setattr(brickwall.generate, "check_no_overlap", refuse)
     assert len(iterate(rule, "B22", 3)) == count_bricks(rule, "B22", 3)
+    assert [len(w) for w in levels(rule, "B22", 3)] == \
+        [count_bricks(rule, "B22", n) for n in range(4)]
+    assert len(analyze(rule, "B22", 3)[0].pattern) == \
+        count_bricks(rule, "B22", 3)
     with pytest.raises(AssertionError):
         substitute_once(rule, iterate(rule, "B22", 1))  # input from outside
 
@@ -418,6 +423,9 @@ def test_supertile_step_only_where_it_is_exact(monkeypatch):
                         lambda rows: (sweeps.append(len(rows)), sweep(rows)))
     assert len(iterate(holes, "A", 4)) == 16
     assert sweeps == [2, 4, 8, 16]  # swept once per level
+    sweeps.clear()
+    assert [len(wall) for wall in levels(holes, "A", 4)] == [1, 2, 4, 8, 16]
+    assert sweeps == [2, 4, 8, 16]  # levels sweeps as iterate does
     assert all("supertile_table" not in vars(rule)
                for rule in random_rules + [holes])
 
