@@ -13,7 +13,7 @@ import bisect
 import re
 from collections import defaultdict
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
@@ -25,6 +25,18 @@ MAX_DEPTH = 12  # allocation guard on the depth of any wall
 MAX_BRICKS = 2 ** 21  # most bricks one wall may hold, checked before building
 _SLICE_ROWS = 4096  # bricks per rendered slice, text and SVG alike
 _SUPERTILE_LEVELS = 3  # levels iterate's last step spans, where it is exact
+
+
+class _Memo(dict):
+    """fn(key), computed on the first lookup of each key."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
 class OverlapError(RuleError):
@@ -310,12 +322,13 @@ def _wall_rows(rule, seed, n, rng):
 
 def _grids(rule, seed_letter, n):
     """The letter grids of a block wall at levels 0..n, each made from the
-    one before: row r of every letter's image, side by side."""
+    one before: row r of every image side by side, from a table per r."""
+    tables = [dict(zip(rule.blocks, r)) for r in zip(*rule.blocks.values())]
     rows = [[seed_letter]]
     for level in range(n + 1):
         if level:
-            rows = [[c for letter in row for c in rule.blocks[letter][r]]
-                    for row in rows for r in range(rule.lambda2)]
+            rows = [list(chain.from_iterable(map(table.__getitem__, row)))
+                    for row in rows for table in tables]
         yield LetterGrid(tuple(map(tuple, rows)), level, seed_letter)
 
 
@@ -388,14 +401,19 @@ def iterate_block(rule: SubstitutionRule, seed_letter: str, n: int) -> LetterGri
 def render_grid(rule: SubstitutionRule, grid: LetterGrid) -> Pattern:
     """Turn a letter grid into bricks: row R starts at x = skew*R and letters
     lie side by side with their own widths, so the rows come in _ORDER."""
+    if rule.engine != "block":
+        raise RuleError(f"rule '{rule.name}' is not a block rule")
     widths = {t.id: t.width for t in rule.types}
     rows = []
-    for r, row in enumerate(grid.rows):
-        x = rule.skew * r
-        for letter in row:
-            w = widths[letter]
-            rows.append((letter, x, r, w, 1))
-            x += w
+    try:
+        for r, row in enumerate(grid.rows):
+            x = rule.skew * r
+            for letter in row:
+                w = widths[letter]
+                rows.append((letter, x, r, w, 1))
+                x += w
+    except KeyError as missing:
+        rule.get_type(missing.args[0])  # raises: the rule lacks this letter
     return Pattern._of_rows(rule.name, grid.level, grid.seed_letter, None,
                             tuple(rows))
 
@@ -420,9 +438,10 @@ def _text_slices(pattern: Pattern) -> Iterator[str]:
     string, so no renderer holds one string per brick of the wall."""
     seed = "-" if pattern.rng_seed is None else str(pattern.rng_seed)
     yield f"# rule={pattern.rule_name} n={pattern.level} seed={seed}\n"
+    s = _Memo(str)  # each distinct integer is formatted once
     for i in range(0, len(pattern.rows), _SLICE_ROWS):
-        yield "\n".join([f"{t} {x} {y} {w} {h}" for t, x, y, w, h
-                         in pattern.rows[i:i + _SLICE_ROWS]]) + "\n"
+        yield "\n".join([f"{t} {s[x]} {s[y]} {s[w]} {s[h]}"
+                         for t, x, y, w, h in pattern.rows[i:i + _SLICE_ROWS]]) + "\n"
 
 
 def format_pattern(pattern: Pattern) -> str:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .generate import _SLICE_ROWS, Pattern
+from .generate import _SLICE_ROWS, Pattern, _Memo
 from .rules import SubstitutionRule
 
 CELL_SIZE = 20
@@ -24,18 +24,6 @@ MORTAR_COLOR = "#808080"
 def _fmt(v: float) -> str:
     s = f"{v:.3f}".rstrip("0").rstrip(".")
     return s if s and s != "-0" else "0"
-
-
-class _Memo(dict):
-    """fn(key), computed on the first lookup of each key."""
-
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key):
-        value = self[key] = self.fn(key)
-        return value
 
 
 def _svg_slices(pattern: Pattern, rule: SubstitutionRule) -> Iterator[str]:
@@ -51,19 +39,17 @@ def _svg_slices(pattern: Pattern, rule: SubstitutionRule) -> Iterator[str]:
     yield (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}"'
            f' height="{height}" viewBox="0 0 {width} {height}">\n')
 
-    def size_and_paint(key):
-        tid, w, h = key
-        return (f' width="{_fmt(w * cs)}" height="{_fmt(h * cs)}"'
-                f' fill="{rule.get_type(tid).color}" stroke="{MORTAR_COLOR}"'
-                f' stroke-width="{_fmt(pad)}"/>')
+    def top_size_and_paint(key):
+        top, tid, w, h = key  # flip so row 0 is at the bottom
+        return (f'{_fmt((max_y - top) * cs + pad)}" width="{_fmt(w * cs)}"'
+                f' height="{_fmt(h * cs)}" fill="{rule.get_type(tid).color}"'
+                f' stroke="{MORTAR_COLOR}" stroke-width="{_fmt(pad)}"/>')
 
-    # each distinct x, top edge and (type, size) is formatted once
+    # each distinct x and (top edge, type, size) is formatted once
     head = _Memo(lambda x: f'<rect x="{_fmt((x - min_x) * cs + pad)}" y="')
-    # flip so row 0 is at the bottom
-    mid = _Memo(lambda top: f'{_fmt((max_y - top) * cs + pad)}"')
-    tail = _Memo(size_and_paint)
+    tail = _Memo(top_size_and_paint)
     for i in range(0, len(pattern.rows), _SLICE_ROWS):
-        yield "\n".join([head[x] + mid[y + h] + tail[tid, w, h]
+        yield "\n".join([head[x] + tail[y + h, tid, w, h]
                          for tid, x, y, w, h in pattern.rows[i:i + _SLICE_ROWS]]) + "\n"
     yield "</svg>\n"
 

@@ -4,9 +4,10 @@ These recompute results along a different route than the library:
 joints and crossings by rasterizing into unit cells, eigenvectors by
 exact rational elimination, a substitution step by one sort of the whole
 level, matrix powers by repeated squaring, the parity wall from binary
-digit sums, frequencies by counting the bricks of a wall, text and SVG by
-one string per brick joined once, the law of V_max by enumerating every
-realisation of a random wall.  Slow and simple on purpose.
+digit sums, any block wall's letters by index arithmetic, frequencies by
+counting the bricks of a wall, text and SVG by one string per brick
+joined once, the law of V_max by enumerating every realisation of a
+random wall.  Slow and simple on purpose.
 """
 
 import bisect
@@ -15,9 +16,9 @@ from fractions import Fraction
 from itertools import product
 
 from brickwall import SubstitutionMatrix
-from brickwall.generate import _ORDER
+from brickwall.generate import _ORDER, _Memo
 from brickwall.joints import _edge_segments, _v_max
-from brickwall.svg import CELL_SIZE, MORTAR_COLOR, MORTAR_WIDTH, _fmt, _Memo
+from brickwall.svg import CELL_SIZE, MORTAR_COLOR, MORTAR_WIDTH, _fmt
 
 
 def rasterized_joints(pattern):
@@ -179,6 +180,17 @@ def ptm_oracle(i, j):
     """Letter of the 2D Prouhet-Thue-Morse array at column i, row j:
     parity of binary digit sums, XORed."""
     return "1" if (bin(i).count("1") + bin(j).count("1")) % 2 else "0"
+
+
+def block_letter(rule, seed, n, i, j):
+    """Letter at column i, row j of the level-n block wall grown from seed,
+    by index arithmetic: the letter of the parent cell at level n - 1
+    picks the image, and (i mod lambda1, j mod lambda2) its cell."""
+    if n == 0:
+        return seed
+    parent = block_letter(rule, seed, n - 1, i // rule.lambda1,
+                          j // rule.lambda2)
+    return rule.blocks[parent][j % rule.lambda2][i % rule.lambda1]
 
 
 def empirical_frequencies(pattern, rule):

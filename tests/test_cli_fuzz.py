@@ -1,10 +1,11 @@
 """Every rule the parser accepts gets an answer from every subcommand.
 
-The property runs all six subcommands in-process through cli.main on
-drawn rules at -n <= 3.  It checks the exit-code contract only: a code in
-{0, 1, 2}, one `error:` line on stderr for a failure, no escaping
-exception and no long run.  Whether an answer is right is left to the
-other tests.
+The first property runs all six subcommands in-process through cli.main
+on drawn rules at -n <= 3.  It checks the exit-code contract only: a
+code in {0, 1, 2}, one `error:` line on stderr for a failure, no
+escaping exception and no long run.  Whether an answer is right is left
+to the other tests; the second property checks the drawn block rules'
+growth and rendering against index arithmetic.
 """
 
 import contextlib
@@ -13,11 +14,16 @@ import time
 
 from hypothesis import example, given, settings, strategies as st
 
+from brickwall import iterate_block, parse_rule, render_grid
 from brickwall.cli import main
+from oracles import block_letter
 from test_engine import HOLES_RULE
 
 SIZES = [(1, 1), (2, 1), (1, 2), (2, 2)]
 OFFSETS = st.integers(-2, 4)
+# an image per weight: p and 1-p, or fixed weights that sum to 1
+WEIGHTS = st.one_of(st.none(), st.just(("p", "1-p")), st.sampled_from(
+    [("1",), ("1/2", "1/2"), ("1/3", "2/3"), ("1/4", "1/4", "1/2")]))
 SECONDS = 5  # the most one in-process call may take
 
 
@@ -49,17 +55,19 @@ def _image(draw, sizes, tid, l1, l2):
 @st.composite
 def geometric_rules(draw):
     """(rule text, seed type): 1-3 types of the four sizes, expansions 1-3
-    per axis, and per type one image or two weighted p and 1-p."""
+    per axis, and per type one image, two weighted p and 1-p, or one to
+    three with fixed prob weights."""
     ids = "ABC"[:draw(st.integers(1, 3))]
     sizes = {t: draw(st.sampled_from(SIZES)) for t in ids}
     l1, l2 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     lines = ["rule fuzz", "engine geometric", f"expansion {l1} {l2}"]
     lines += [f"brick {t} {w} {h}" for t, (w, h) in sizes.items()]
     for t in ids:
-        if draw(st.booleans()):
+        weights = draw(WEIGHTS)
+        if weights is None:
             lines.append(f"image {t} {{ {_image(draw, sizes, t, l1, l2)} }}")
         else:
-            for prob in ("p", "1-p"):
+            for prob in weights:
                 lines.append(f"image {t} prob {prob}"
                              f" {{ {_image(draw, sizes, t, l1, l2)} }}")
     return "\n".join(lines + ["end"]) + "\n", draw(st.sampled_from(ids))
@@ -149,3 +157,20 @@ def test_every_accepted_rule_gets_an_answer(tmp_path_factory, rule, n, ext):
                 (command, err)
         else:
             assert err == "", (command, err)
+
+
+@given(block_rules(), st.integers(0, 4))
+@settings(max_examples=50, deadline=None)
+def test_block_growth_and_rendering_match_index_arithmetic(rule, n):
+    text, seed = rule
+    rule = parse_rule(text)
+    grid = iterate_block(rule, seed, n)
+    assert grid.rows == tuple(
+        tuple(block_letter(rule, seed, n, i, j) for i in range(rule.lambda1 ** n))
+        for j in range(rule.lambda2 ** n))
+    # each letter lies at skew * row plus the widths to its left
+    widths = {t.id: t.width for t in rule.types}
+    assert render_grid(rule, grid).rows == tuple(
+        (letter, rule.skew * j + sum(map(widths.get, row[:i])), j,
+         widths[letter], 1)
+        for j, row in enumerate(grid.rows) for i, letter in enumerate(row))

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import brickwall.generate
-from brickwall import (BUILTIN_SOURCES, Brick, OverlapError, Pattern,
-                       RuleError, SplitMix64, analyze, builtin,
+from brickwall import (BUILTIN_SOURCES, Brick, LetterGrid, OverlapError,
+                       Pattern, RuleError, SplitMix64, analyze, builtin,
                        check_no_overlap,
                        count_bricks, format_pattern, generate_pattern,
                        iterate, iterate_block, parse_pattern, parse_rule,
@@ -525,6 +525,16 @@ def test_render_grid_examples():
         ("0", 0, 0, 2), ("1", 2, 0, 3), ("1", 0, 1, 3), ("0", 3, 1, 2)}
     single = render_grid(flat, iterate_block(flat, "0", 0))
     assert single.bricks == (Brick("0", 0, 0, 2, 1),)
+
+
+def test_render_grid_refuses_what_it_cannot_draw():
+    # sigma3's B22 is 2x2, which a letter grid of 1-high rows cannot draw
+    with pytest.raises(RuleError, match="rule 'sigma3' is not a block rule"):
+        render_grid(builtin("sigma3"), LetterGrid((("B22",),), 0, "B22"))
+    with pytest.raises(RuleError,
+                       match="unknown brick type 'x' in rule 'ptm'"):
+        render_grid(builtin("ptm"), LetterGrid((("0", "1"), ("1", "x")),
+                                               1, "0"))
 
 
 def test_generate_pattern_dispatch():

@@ -15,6 +15,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from brickwall import (BUILTIN_SOURCES, Brick, Pattern, RuleError, builtin,
                        generate_pattern, iterate, parse_pattern, parse_rule,
@@ -154,6 +155,34 @@ def test_builtin_walls_past_three_slices_render_as_the_oracles(
     wall = generate_pattern(rule, brick, n, rng_seed)
     assert len(wall) > 3 * C
     _renders_as_the_oracles(wall, rule)
+
+
+@st.composite
+def memo_walls(draw):
+    """Hand-built walls of sigma3's type ids at drawn sizes, so that the
+    renderers' memo keys collide in part: each drawn brick comes with a
+    twin of its type at another size whose top edge is the same."""
+    rows = []
+    coords, sizes = st.integers(-300, 300), st.integers(1, 3)
+    for t, x, y, w, h in draw(st.lists(st.tuples(
+            st.sampled_from(["B11", "B21", "B22"]), coords, coords, sizes,
+            sizes), min_size=1, max_size=20)):
+        w2, h2 = w % 3 + 1, h % 3 + 1
+        rows += [(t, x, y, w, h), (t, -x, y + h - h2, w2, h2)]
+    return Pattern("adhoc", 2, None, draw(st.none() | st.integers(0, 9)), rows)
+
+
+@given(memo_walls())
+@example(Pattern("adhoc", 0, None, None, [
+    ("B21", x, y, 2, h) for x, y, h in
+    [(255, 256, 1), (256, -257, 3), (-257, 255, 2), (-5, -6, 1)]]))
+@settings(max_examples=50, deadline=None)
+def test_renderers_memo_keys_render_as_the_oracles(wall):
+    # small ints (-5..256) are cached objects and larger ones are not; a
+    # memo keyed on values must not care
+    rule = builtin("sigma3")
+    assert format_pattern(wall) == one_string_per_brick_text(wall)
+    assert to_svg(wall, rule) == one_string_per_brick_svg(wall, rule)
 
 
 def test_rendering_holds_twice_the_output_and_generate_one_slice(tmp_path):
