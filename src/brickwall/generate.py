@@ -13,7 +13,7 @@ import bisect
 import re
 from collections import defaultdict
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate, chain, permutations
 from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
@@ -48,14 +48,15 @@ class Pattern:
 
     rows holds the bricks as plain (type_id, x, y, width, height) tuples,
     always in _ORDER, (y, x, type_id): Pattern(...) takes bricks or tuples
-    in any order (hand-built, parsed) and keeps a sorted copy.  The PRNG
+    in any order, refuses a row that is not a brick (_brick_row) and keeps
+    a sorted copy.  The PRNG
     draws and every output take one pass over the rows in that order;
     bricks is the same wall as Brick records, built on first read."""
 
     def __init__(self, rule_name, level, seed_type, rng_seed, bricks):
         self.rule_name, self.level = rule_name, level
         self.seed_type, self.rng_seed = seed_type, rng_seed
-        self.rows = tuple(sorted(map(tuple, bricks), key=_ORDER))
+        self.rows = tuple(sorted(map(_brick_row, bricks), key=_ORDER))
 
     @classmethod
     def _of_rows(cls, rule_name, level, seed_type, rng_seed, rows):
@@ -114,6 +115,18 @@ _X = itemgetter(1)  # a brick's x, which orders one row of a wall
 _FIELDS = attrgetter("rule_name", "level", "seed_type", "rng_seed", "rows")
 
 
+def _brick_row(brick) -> Tuple:
+    """brick as a plain row, or ValueError naming it unless it holds a str
+    type id, int x and y, and int width and height >= 1 (a bool is no int)."""
+    row = tuple(brick)
+    if (len(row) != 5 or type(row[0]) is not str
+            or any(type(v) is not int for v in row[1:])
+            or row[3] < 1 or row[4] < 1):
+        raise ValueError(f"brick row {brick!r} is not (type_id, x, y, width,"
+                         " height) of a str, two ints and two ints >= 1")
+    return row
+
+
 def check_no_overlap(bricks: Iterable[Brick]) -> None:
     """Sweep over x; active y-intervals stay disjoint or we raise OverlapError."""
     events = []  # (x, kind, y0, y1); removals sort before insertions
@@ -170,17 +183,21 @@ def overlap_certificate(rule: SubstitutionRule) -> OverlapCertificate:
                 "undecided", f"overlap undecided: {axis} = 1, so every level"
                              " of a wall is swept for overlaps")
     sizes = {t.id: (t.width, t.height) for t in rule.types}
-    placements = [b for opts in rule.images.values() for opt in opts
-                  for b in opt.placements]
+    # (t1, t2) -> the distinct children (c1, c2, ex, ey) of two bricks at one
+    # anchor over every option pair, in first-met order; a pair (t1, t2, d)
+    # has these children shifted by lambda * d
+    children = {(t1, t2): tuple(dict.fromkeys(
+        (c1, c2, x2 - x1, y2 - y1)
+        for o1 in rule.images[t1] for o2 in rule.images[t2]
+        for c1, x1, y1, _, _ in o1.placements
+        for c2, x2, y2, _, _ in o2.placements)) for t1 in sizes for t2 in sizes}
 
-    def window(lam, offsets, size):
-        spread = max(offsets, default=0) - min(offsets, default=0)
+    def window(lam, axis, size):  # the spread D is the largest offset difference
+        spread = max(c[axis] for table in children.values() for c in table)
         return max(size, -(-spread // (lam - 1)))
 
-    kx = window(rule.lambda1, [b.x for b in placements],
-                max(w for w, _ in sizes.values()))
-    ky = window(rule.lambda2, [b.y for b in placements],
-                max(h for _, h in sizes.values()))
+    kx = window(rule.lambda1, 2, max(w for w, _ in sizes.values()))
+    ky = window(rule.lambda2, 3, max(h for _, h in sizes.values()))
     seeds = {}  # pair -> seed type of the wall it was first found in
     frontier = []
 
@@ -189,12 +206,10 @@ def overlap_certificate(rule: SubstitutionRule) -> OverlapCertificate:
             seeds[pair] = seed
             frontier.append(pair)
 
-    for t in rule.types:
-        for opt in rule.images[t.id]:
-            for i, a in enumerate(opt.placements):
-                for j, b in enumerate(opt.placements):
-                    if i != j:
-                        add((a.type_id, b.type_id, b.x - a.x, b.y - a.y), t.id)
+    for t in sizes:
+        for opt in rule.images[t]:
+            for a, b in permutations(opt.placements, 2):
+                add((a.type_id, b.type_id, b.x - a.x, b.y - a.y), t)
     level = 1
     while frontier:
         for t1, t2, dx, dy in frontier:
@@ -209,12 +224,8 @@ def overlap_certificate(rule: SubstitutionRule) -> OverlapCertificate:
         for t1, t2, dx, dy in parents:
             seed = seeds[t1, t2, dx, dy]
             ax, ay = rule.lambda1 * dx, rule.lambda2 * dy
-            for o1 in rule.images[t1]:
-                for o2 in rule.images[t2]:
-                    for p in o1.placements:
-                        for q in o2.placements:
-                            add((p.type_id, q.type_id, ax + q.x - p.x,
-                                 ay + q.y - p.y), seed)
+            for c1, c2, ex, ey in children[t1, t2]:
+                add((c1, c2, ax + ex, ay + ey), seed)
         level += 1
     return OverlapCertificate("certified", "no wall of any seed overlaps")
 
@@ -430,7 +441,7 @@ def generate_pattern(rule: SubstitutionRule, seed_type: str, n: int,
 # pattern text format: header line, then one `type_id x y width height` per
 # line, sorted by (y, x)
 
-_HEADER_RE = re.compile(r"#\s*rule=(\S+)\s+n=(\d+)\s+seed=(\S+)\s*$")
+_HEADER_RE = re.compile(r"#\s*rule=(\S+)\s+n=(\d+)\s+seed=(-|\d+)\s*$")
 
 
 def _text_slices(pattern: Pattern) -> Iterator[str]:
@@ -449,21 +460,33 @@ def format_pattern(pattern: Pattern) -> str:
 
 
 def parse_pattern(text: str) -> Pattern:
-    lines = filter(str.strip, text.splitlines())
-    header = next(lines, None)
-    if header is None:
+    """The wall of format_pattern's text, blank lines skipped; a line it
+    cannot read is a ValueError naming the line's 1-based number."""
+    lines = enumerate(text.splitlines(), 1)
+    for number, header in lines:
+        if header.strip():
+            break
+    else:
         raise ValueError("empty pattern text")
     m = _HEADER_RE.match(header)
     if not m:
-        raise ValueError(f"bad pattern header: {header!r}")
+        raise ValueError(f"bad pattern header on line {number}: {header!r}")
     rule_name, level = m.group(1), int(m.group(2))
     rng_seed = None if m.group(3) == "-" else int(m.group(3))
-    # one pass: Pattern's sort holds the only list of the rows
-    return Pattern(rule_name, level, None, rng_seed, map(_pattern_row, lines))
-
-
-def _pattern_row(ln: str) -> Tuple:
-    parts = ln.split()
-    if len(parts) != 5:
-        raise ValueError(f"bad pattern line: {ln!r}")
-    return (parts[0], *map(int, parts[1:]))
+    rows = []  # each row is checked here, so Pattern(...) need not again
+    for number, line in lines:
+        parts = line.split()
+        if not parts:
+            continue
+        try:
+            t, x, y, w, h = parts
+            row = t, int(x), int(y), int(w), int(h)
+            if row[3] < 1 or row[4] < 1:
+                raise ValueError
+        except ValueError:
+            raise ValueError(f"bad pattern line {number}: {line!r} is not"
+                             " 'type_id x y width height' of integers with"
+                             " width and height >= 1") from None
+        rows.append(row)
+    rows.sort(key=_ORDER)
+    return Pattern._of_rows(rule_name, level, None, rng_seed, tuple(rows))

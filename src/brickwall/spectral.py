@@ -99,11 +99,11 @@ def _dot(row, x) -> float:
 def _power_iteration(entries):
     """Max-norm power iteration from all ones on the float rows of entries.
     A state seen before ends the loop: the map is deterministic, so from
-    there it would only cycle."""
+    there it would only cycle, and the error names the cycle's length."""
     rows = [[float(e) for e in row] for row in entries]
-    x, seen = (1.0,) * len(rows), set()
+    x, seen = (1.0,) * len(rows), {}  # state -> the step it was reached at
     while x not in seen and len(seen) < _MAX_ITER:
-        seen.add(x)
+        seen[x] = len(seen)
         y = [_dot(row, x) for row in rows]
         lam = max(map(abs, y))
         if lam == 0.0:
@@ -112,8 +112,10 @@ def _power_iteration(entries):
         if max(abs(a - b) for a, b in zip(xn, x)) < _TOL:
             return lam, xn
         x = xn
-    raise RuleError("substitution matrix has no unique dominant eigenvector"
-                    f" (power iteration did not converge in {_MAX_ITER} steps)")
+    why = (f"the iterate repeats with period {len(seen) - seen[x]}" if x in seen
+           else f"power iteration did not converge in {_MAX_ITER} steps")
+    raise RuleError(f"substitution matrix has no unique dominant eigenvector"
+                    f" ({why})")
 
 
 def pf_eigenvalue(M: SubstitutionMatrix) -> float:

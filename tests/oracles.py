@@ -7,7 +7,8 @@ level, matrix powers by repeated squaring, the parity wall from binary
 digit sums, any block wall's letters by index arithmetic, frequencies by
 counting the bricks of a wall, text and SVG by one string per brick
 joined once, the law of V_max by enumerating every realisation of a
-random wall.  Slow and simple on purpose.
+random wall, the overlap certificate by looping over every option and
+placement pair of each frontier pair.  Slow and simple on purpose.
 """
 
 import bisect
@@ -15,8 +16,9 @@ from collections import Counter
 from fractions import Fraction
 from itertools import product
 
-from brickwall import SubstitutionMatrix
-from brickwall.generate import _ORDER, _Memo
+from brickwall import SubstitutionMatrix, SubstitutionRule
+from brickwall.generate import (_ORDER, OverlapCertificate, _Memo,
+                                _require_geometric)
 from brickwall.joints import _edge_segments, _v_max
 from brickwall.svg import CELL_SIZE, MORTAR_COLOR, MORTAR_WIDTH, _fmt
 
@@ -238,3 +240,77 @@ def one_string_per_brick_svg(pattern, rule):
         lines.append(head[x] + mid[y + h] + tail[tid, w, h])
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
+
+
+# the reference for generate.overlap_certificate, as the nested-loop
+# closure: each frontier pair walks every option pair and placement pair
+# of its two types again; the docstring is the library function's
+def nested_loop_certificate(rule: SubstitutionRule) -> OverlapCertificate:
+    """Decide whether a rule's walls can overlap; rule.overlap_certificate
+    runs this once per rule and caches the result.
+
+    Works on pairs (t1, t2, dx, dy): two bricks whose anchors differ by
+    (dx, dy).  A pair in a level-(m+1) wall is two siblings or two children
+    of a pair in the level-m wall, so the sibling pairs closed under one
+    substitution step, over every option pair, hold every pair any wall can
+    contain.  On an axis with expansion lam >= 2, placement offsets spread
+    over D and largest brick size S, a pair farther apart than
+    K = max(S, ceil(D / (lam - 1))) cannot overlap and its children lie
+    farther apart still, so closing the finite window |d| <= K decides the
+    rule (legal-patch atlas: Baake & Grimm, Aperiodic Order vol. 1, ch. 5-6;
+    Frank, Expo. Math. 2008).  A unit expansion leaves the rule undecided.
+    """
+    _require_geometric(rule)
+    for axis, lam in (("lambda1", rule.lambda1), ("lambda2", rule.lambda2)):
+        if lam == 1:
+            return OverlapCertificate(
+                "undecided", f"overlap undecided: {axis} = 1, so every level"
+                             " of a wall is swept for overlaps")
+    sizes = {t.id: (t.width, t.height) for t in rule.types}
+    placements = [b for opts in rule.images.values() for opt in opts
+                  for b in opt.placements]
+
+    def window(lam, offsets, size):
+        spread = max(offsets, default=0) - min(offsets, default=0)
+        return max(size, -(-spread // (lam - 1)))
+
+    kx = window(rule.lambda1, [b.x for b in placements],
+                max(w for w, _ in sizes.values()))
+    ky = window(rule.lambda2, [b.y for b in placements],
+                max(h for _, h in sizes.values()))
+    seeds = {}  # pair -> seed type of the wall it was first found in
+    frontier = []
+
+    def add(pair, seed):
+        if abs(pair[2]) <= kx and abs(pair[3]) <= ky and pair not in seeds:
+            seeds[pair] = seed
+            frontier.append(pair)
+
+    for t in rule.types:
+        for opt in rule.images[t.id]:
+            for i, a in enumerate(opt.placements):
+                for j, b in enumerate(opt.placements):
+                    if i != j:
+                        add((a.type_id, b.type_id, b.x - a.x, b.y - a.y), t.id)
+    level = 1
+    while frontier:
+        for t1, t2, dx, dy in frontier:
+            (w1, h1), (w2, h2) = sizes[t1], sizes[t2]
+            if -w2 < dx < w1 and -h2 < dy < h1:
+                seed = seeds[t1, t2, dx, dy]
+                return OverlapCertificate(
+                    "overlap", f"overlap: {t1} and {t2} at offset ({dx}, {dy})"
+                               f" in a level-{level} wall of seed {seed}",
+                    seed, level)
+        parents, frontier = frontier, []
+        for t1, t2, dx, dy in parents:
+            seed = seeds[t1, t2, dx, dy]
+            ax, ay = rule.lambda1 * dx, rule.lambda2 * dy
+            for o1 in rule.images[t1]:
+                for o2 in rule.images[t2]:
+                    for p in o1.placements:
+                        for q in o2.placements:
+                            add((p.type_id, q.type_id, ax + q.x - p.x,
+                                 ay + q.y - p.y), seed)
+        level += 1
+    return OverlapCertificate("certified", "no wall of any seed overlaps")

@@ -5,19 +5,23 @@ on drawn rules at -n <= 3.  It checks the exit-code contract only: a
 code in {0, 1, 2}, one `error:` line on stderr for a failure, no
 escaping exception and no long run.  Whether an answer is right is left
 to the other tests; the second property checks the drawn block rules'
-growth and rendering against index arithmetic.
+growth and rendering against index arithmetic, and the third pins the
+overlap certificate of drawn geometric rules to the nested-loop closure.
 """
 
 import contextlib
 import io
 import time
 
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
-from brickwall import iterate_block, parse_rule, render_grid
+from brickwall import (BUILTIN_SOURCES, RuleError, iterate_block, parse_rule,
+                       render_grid)
 from brickwall.cli import main
-from oracles import block_letter
-from test_engine import HOLES_RULE
+from brickwall.generate import overlap_certificate
+from oracles import block_letter, nested_loop_certificate
+from test_engine import CLASH_RULE, HOLES_RULE
+from test_stats import PCLASH
 
 SIZES = [(1, 1), (2, 1), (1, 2), (2, 2)]
 OFFSETS = st.integers(-2, 4)
@@ -53,21 +57,21 @@ def _image(draw, sizes, tid, l1, l2):
 
 
 @st.composite
-def geometric_rules(draw):
+def geometric_rules(draw, expansions=st.integers(1, 3), weights=WEIGHTS):
     """(rule text, seed type): 1-3 types of the four sizes, expansions 1-3
     per axis, and per type one image, two weighted p and 1-p, or one to
-    three with fixed prob weights."""
+    three with fixed prob weights; expansions and weights draw them."""
     ids = "ABC"[:draw(st.integers(1, 3))]
     sizes = {t: draw(st.sampled_from(SIZES)) for t in ids}
-    l1, l2 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    l1, l2 = draw(expansions), draw(expansions)
     lines = ["rule fuzz", "engine geometric", f"expansion {l1} {l2}"]
     lines += [f"brick {t} {w} {h}" for t, (w, h) in sizes.items()]
     for t in ids:
-        weights = draw(WEIGHTS)
-        if weights is None:
+        probs = draw(weights)
+        if probs is None:
             lines.append(f"image {t} {{ {_image(draw, sizes, t, l1, l2)} }}")
         else:
-            for prob in weights:
+            for prob in probs:
                 lines.append(f"image {t} prob {prob}"
                              f" {{ {_image(draw, sizes, t, l1, l2)} }}")
     return "\n".join(lines + ["end"]) + "\n", draw(st.sampled_from(ids))
@@ -112,6 +116,12 @@ FLIP = _rule("flip", "1 1", ["brick A 1 1", "brick B 1 1"],
              [("A", "B @ 0 0"), ("B", "A @ 0 0")])
 FAR = _rule("far", "2 2", ["brick A 1 1"],
             [("A", "A @ 0 0 ; A @ 1 0 ; A @ 0 1 ; A @ 1 10001")])
+GRID = _rule("grid", "10 8", ["brick A 1 1"], [
+    ("A", " ; ".join(f"A @ {x} {y}" for y in range(8) for x in range(10)))])
+# the first overlap the closure meets, and so the message, depends on the
+# order of each type pair's children: a set of them names another offset
+ORDER = _rule("order", "3 2", ["brick A 2 1"], [
+    ("A", "A @ 2 0 ; A @ 1 4 ; A @ 0 0 ; A @ 4 0 ; A @ 0 1 ; A @ 2 1")])
 
 
 def _run(argv):
@@ -174,3 +184,26 @@ def test_block_growth_and_rendering_match_index_arithmetic(rule, n):
         (letter, rule.skew * j + sum(map(widths.get, row[:i])), j,
          widths[letter], 1)
         for j, row in enumerate(grid.rows) for i, letter in enumerate(row))
+
+
+@given(geometric_rules(st.integers(2, 3), st.sampled_from([None, ("1/2", "1/2")]))
+       .map(lambda rule: rule[0]))
+@example(BUILTIN_SOURCES["sigma3"])
+@example(BUILTIN_SOURCES["rows23"])
+@example(BUILTIN_SOURCES["random_self_similar"])
+@example(BUILTIN_SOURCES["random_pp"])
+@example(CLASH_RULE)
+@example(PCLASH)
+@example(SWAP)
+@example(FAR.replace("10001", "101"))
+@example(GRID)
+@example(ORDER)
+@settings(max_examples=200, deadline=None)
+def test_certificate_equals_the_nested_loop_closure(text):
+    try:
+        rule = parse_rule(text)
+    except RuleError:
+        reject()
+    cert = overlap_certificate(rule)
+    assert cert.verdict in ("certified", "overlap")  # no unit expansion
+    assert cert == nested_loop_certificate(rule)  # every field, message too

@@ -559,12 +559,32 @@ def test_pattern_text_round_trip():
 
 
 def test_parse_pattern_errors():
-    with pytest.raises(ValueError):
-        parse_pattern("")
-    with pytest.raises(ValueError):
-        parse_pattern("no header\nB11 0 0 1 1\n")
-    with pytest.raises(ValueError):
-        parse_pattern("# rule=x n=1 seed=-\nB11 0 0 1\n")
+    with pytest.raises(ValueError, match="^empty pattern text$"):
+        parse_pattern(" \n\n")
+    with pytest.raises(ValueError, match="^bad pattern header on line 2: "):
+        parse_pattern("\nno header\nB11 0 0 1 1\n")
+    with pytest.raises(ValueError, match="^bad pattern header on line 1: "
+                                         "'# rule=x n=1 seed=abc'$"):
+        parse_pattern("# rule=x n=1 seed=abc\nB11 0 0 1 1\n")
+    # a wrong field count, a float, zero and negative sizes, a bool: each
+    # names its 1-based line, blank lines counted
+    for line in ["B11 0 0 1", "B11 0 0 1 1 1", "B11 0.5 0 1 1",
+                 "B11 0 0 -1 1", "B11 5 0 0 0", "B11 0 0 1 0", "B11 True 0 1 1"]:
+        with pytest.raises(ValueError, match=f"^bad pattern line 4: '{line}' is"
+                                             " not 'type_id x y width height'"):
+            parse_pattern(f"# rule=x n=1 seed=-\nB11 9 9 1 1\n\n{line}\n")
+
+
+def test_pattern_refuses_rows_that_are_not_bricks():
+    good = ("B11", 2, 1, 1, 1)
+    for bad in [("B11", 1.0, 1, 1, 1), ("B11", True, 2, 1, 1),
+                ("B11", 0, False, 1, 1), (7, 0, 0, 1, 1), ("B11", 0, 0, 0, 1),
+                ("B11", 0, 0, 1, -1), ("B11", 0, 0, 1.0, 1), ("B11", 0, 0, 1),
+                Brick("B11", 0.5, 0, 1, 1)]:
+        with pytest.raises(ValueError, match=r"^brick row .* is not \(type_id"):
+            Pattern("a", 0, None, None, [good, bad])
+    pat = Pattern("a", 0, None, None, [Brick(*good), ("B11", -3, 0, 1, 2)])
+    assert pat.rows == (("B11", -3, 0, 1, 2), good)
 
 
 def test_text_lines_sorted_by_row_then_column():

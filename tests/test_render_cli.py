@@ -571,13 +571,14 @@ def test_cli_validate_swap_rule(tmp_path):
     assert run("validate", "--rule", str(bom)) == \
         (0, "ok: rule 'bom' (geometric, 2 types)\n", "")
     # eigenvalues +-4: no unique dominant eigenvector, a clean diagnostic,
-    # given at the first repeated iterate
+    # given at the first repeated iterate, which names the period
     start = time.perf_counter()
     code, stdout, stderr = run("spectrum", "--rule", str(swap))
     assert time.perf_counter() - start < 0.5
     assert (code, stdout) == (1, "")
-    assert stderr.startswith("error: rule 'swap': ") and stderr.count("\n") == 1
-    assert "no unique dominant eigenvector" in stderr
+    assert stderr == ("error: rule 'swap': substitution matrix has no unique"
+                      " dominant eigenvector (the iterate repeats with period"
+                      " 2)\n")
 
 
 def test_cli_validate_diagnostics(tmp_path):

@@ -80,6 +80,14 @@ def test_matrix_rejects_unbound_parameter():
         matrix(builtin("random_pp"))
 
 
+def test_power_iteration_names_its_step_cap(monkeypatch):
+    # sigma3 converges, but not in 3 steps; a repeat would name a period
+    monkeypatch.setattr(brickwall.spectral, "_MAX_ITER", 3)
+    with pytest.raises(RuleError, match=r"\(power iteration did not converge"
+                                        r" in 3 steps\)$"):
+        pf_eigenvalue(matrix(builtin("sigma3")))
+
+
 @pytest.mark.parametrize("name", ALL_BUILTINS)
 def test_area_vector_is_exact_eigenvector(name):
     assert_area_eigenvector(matrix(_bound(name)))  # must not raise
