@@ -17,13 +17,12 @@ from itertools import accumulate, chain, permutations
 from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
-from .rng import SplitMix64, check_rng_seed
+from .rng import _SLICE_ROWS, SplitMix64, check_rng_seed
 from .rules import Brick, RuleError, SubstitutionRule
 from .spectral import max_bricks
 
 MAX_DEPTH = 12  # allocation guard on the depth of any wall
 MAX_BRICKS = 2 ** 21  # most bricks one wall may hold, checked before building
-_SLICE_ROWS = 4096  # bricks per rendered slice, text and SVG alike
 _SUPERTILE_LEVELS = 3  # levels iterate's last step spans, where it is exact
 
 
@@ -48,14 +47,16 @@ class Pattern:
 
     rows holds the bricks as plain (type_id, x, y, width, height) tuples,
     always in _ORDER, (y, x, type_id): Pattern(...) takes bricks or tuples
-    in any order, refuses a row that is not a brick (_brick_row) and keeps
-    a sorted copy.  The PRNG
-    draws and every output take one pass over the rows in that order;
-    bricks is the same wall as Brick records, built on first read."""
+    in any order, refuses a row that is not a brick (_brick_row) and an
+    rng_seed that is neither None nor a SplitMix64 seed, and keeps a sorted
+    copy.  The PRNG draws and every output take one pass over the rows in
+    that order; bricks is the same wall as Brick records, built on first
+    read."""
 
     def __init__(self, rule_name, level, seed_type, rng_seed, bricks):
         self.rule_name, self.level = rule_name, level
-        self.seed_type, self.rng_seed = seed_type, rng_seed
+        self.seed_type = seed_type
+        self.rng_seed = rng_seed if rng_seed is None else check_rng_seed(rng_seed)
         self.rows = tuple(sorted(map(_brick_row, bricks), key=_ORDER))
 
     @classmethod
@@ -111,6 +112,7 @@ class LetterGrid(NamedTuple):
 
 
 _ORDER = itemgetter(2, 1, 0)  # wall order, (y, x, type_id): draws and outputs
+_TYPE = itemgetter(0)  # a brick's type id
 _X = itemgetter(1)  # a brick's x, which orders one row of a wall
 _FIELDS = attrgetter("rule_name", "level", "seed_type", "rng_seed", "rows")
 
@@ -259,7 +261,9 @@ def _substitute_bricks(rule: SubstitutionRule, rows, rng,
     if supertiles:
         k = _SUPERTILE_LEVELS
         table, l1, l2 = rule.supertile_table, l1 ** k, l2 ** k
-    draw = rng.next_u64 if rng is not None else None
+    drawn = {t for t, (thresholds, _) in table.items() if thresholds}
+    draw = (rng.take(sum(map(drawn.__contains__, map(_TYPE, rows)))).__next__
+            if drawn else None)  # the level's draws at once; rng None has none
     filed = defaultdict(list)
     for t, x, y, _, _ in rows:
         thresholds, options = table[t]

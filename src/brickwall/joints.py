@@ -67,9 +67,10 @@ def _edge_segments(bricks) -> Dict[int, List[int]]:
 
 
 def vertical_joints(pattern: Pattern) -> JointReport:
-    """All maximal vertical joints of an overlap-free pattern, and their max
-    length.  Abscissas with no bricks strictly left or strictly right of
-    them (the pattern's outline) carry no joints."""
+    """All maximal vertical joints of a pattern, and their max length.  The
+    outline, the least and the greatest abscissa, carries none.  Nothing
+    checks the wall: a joint runs on through a hole, and a brick edge
+    inside an overlapping brick is a joint (check_no_overlap refuses it)."""
     joints = []
     v_max = 0
     # the least and the greatest abscissa are the outline
@@ -168,9 +169,10 @@ def analyze(rule: SubstitutionRule, seed_type: str, n: int,
     """
     measured = 0  # level 0, a single brick, has no joints
     for pattern in levels(rule, seed_type, n, rng_seed):
-        report = vertical_joints(pattern)
-        measured = max(measured, report.v_max)
-    report = report_with_crossings(report, rule)
+        if pattern.level < n:
+            measured = max(measured, _v_max(pattern.rows))
+    report = report_with_crossings(vertical_joints(pattern), rule)
+    measured = max(measured, report.v_max)
     if rule.is_random:
         return report, None
     if rule.engine == "block":

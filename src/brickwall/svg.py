@@ -56,5 +56,7 @@ def _svg_slices(pattern: Pattern, rule: SubstitutionRule) -> Iterator[str]:
 
 def to_svg(pattern: Pattern, rule: SubstitutionRule) -> str:
     """Render a pattern as an SVG document string, each brick in the color
-    of its type in ``rule`` (RuleError for a type the rule lacks)."""
+    of its type in ``rule`` (RuleError for a type the rule lacks).  Nothing
+    checks the wall: of two overlapping bricks the later in wall order is
+    drawn on top, and a hole is left bare."""
     return "".join(_svg_slices(pattern, rule))

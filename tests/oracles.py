@@ -9,6 +9,7 @@ counting the bricks of a wall, text and SVG by one string per brick
 joined once, the law of V_max by enumerating every realisation of a
 random wall, the overlap certificate by looping over every option and
 placement pair of each frontier pair.  Slow and simple on purpose.
+count_draws is the one counter of SplitMix64 draws the tests share.
 """
 
 import bisect
@@ -16,7 +17,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import product
 
-from brickwall import SubstitutionMatrix, SubstitutionRule
+from brickwall import SplitMix64, SubstitutionMatrix, SubstitutionRule
 from brickwall.generate import (_ORDER, OverlapCertificate, _Memo,
                                 _require_geometric)
 from brickwall.joints import _edge_segments, _v_max
@@ -79,6 +80,25 @@ def rasterized_crossing(bricks):
     return any(crosses(x, y0, y1)
                for x, run in _edge_segments(bricks).items()
                for y0, y1 in zip(run[::2], run[1::2]))
+
+
+def count_draws(monkeypatch):
+    """Count every SplitMix64 draw from here on, a next_u64 call as one and
+    a take(k) as k; returns the live count as a one-item list."""
+    draws = [0]
+    next_u64, take = SplitMix64.next_u64, SplitMix64.take
+
+    def counted_next_u64(rng):
+        draws[0] += 1
+        return next_u64(rng)
+
+    def counted_take(rng, k):
+        draws[0] += k
+        return take(rng, k)
+
+    monkeypatch.setattr(SplitMix64, "next_u64", counted_next_u64)
+    monkeypatch.setattr(SplitMix64, "take", counted_take)
+    return draws
 
 
 def sorted_substitution_step(rule, rows, rng):

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from brickwall import (BUILTIN_SOURCES, Brick, LetterGrid, OverlapError,
 from brickwall.generate import (MAX_BRICKS, _SUPERTILE_LEVELS,
                                 _substitute_bricks, levels,
                                 overlap_certificate)
-from oracles import ptm_oracle, sorted_substitution_step
+from oracles import count_draws, ptm_oracle, sorted_substitution_step
 
 SIGMA3_B22_IMAGE = {
     ("B21", -1, 0), ("B22", 1, 0), ("B11", 0, 1), ("B11", 3, 1),
@@ -161,6 +162,10 @@ class _FixedDraw:
         self.draws += 1
         return self.value
 
+    def take(self, k):
+        self.draws += k
+        return iter([self.value] * k)
+
 
 @pytest.mark.parametrize("rule", [
     *(builtin("random_pp", p=Fraction(p)) for p in
@@ -192,17 +197,14 @@ def test_draws_at_every_threshold_pick_the_exact_option(rule):
 def test_one_draw_per_brick_of_a_two_option_type(monkeypatch):
     rule = builtin("random_pp", p=Fraction(3, 10))
     sizes = [len(w) for w in levels(rule, "B22", 3, rng_seed=1)]
-    draws = []
-    next_u64 = SplitMix64.next_u64
-    monkeypatch.setattr(SplitMix64, "next_u64",
-                        lambda rng: draws.append(1) or next_u64(rng))
+    draws = count_draws(monkeypatch)
     iterate(rule, "B22", 4, rng_seed=1)
-    assert len(draws) == sum(sizes) == 1 + 8 + 24 + 114
+    assert draws[0] == sum(sizes) == 1 + 8 + 24 + 114
     # a one-option type draws nothing
-    draws.clear()
+    draws[0] = 0
     mixed = parse_rule(MIXED_RULE).bind(Fraction(1, 3))
     pat = iterate(mixed, "B12", 1, rng_seed=1)
-    assert (len(pat), draws) == (3, [])
+    assert (len(pat), draws[0]) == (3, 0)
 
 
 def test_substitution_table_built_once_per_bound_rule(monkeypatch):
@@ -600,13 +602,17 @@ SHUFFLED_WALLS = [("sigma3", "B22", None), ("rows23", "B21", None),
                   ("random_pp", "B22", 5)]
 
 
+def _shuffled_wall(wall, n):
+    name, seed, rng_seed = wall
+    rule = builtin(name, p=Fraction(1, 3) if name == "random_pp" else None)
+    return rule, generate_pattern(rule, seed, n, rng_seed)
+
+
 @given(wall=st.sampled_from(SHUFFLED_WALLS), n=st.integers(1, 3),
        order=st.integers(0, 2 ** 32))
 @settings(max_examples=40, deadline=None)
 def test_outputs_ignore_brick_order(wall, n, order):
-    name, seed, rng_seed = wall
-    rule = builtin(name, p=Fraction(1, 3) if name == "random_pp" else None)
-    pat = generate_pattern(rule, seed, n, rng_seed)
+    rule, pat = _shuffled_wall(wall, n)
     keys = [(b.y, b.x, b.type_id) for b in pat.bricks]
     assert keys == sorted(keys)  # every builder emits this order
     bricks = list(pat.bricks)
@@ -624,6 +630,74 @@ def test_outputs_ignore_brick_order(wall, n, order):
     if rule.engine == "geometric":  # draws follow (y, x, type_id) order
         assert substitute_once(rule, shuffled, SplitMix64(3)).bricks == \
             substitute_once(rule, pat, SplitMix64(3)).bricks
+
+
+@st.composite
+def walls_with_one_field_changed(draw):
+    """(wall, n, index, row, is_brick): row is brick `index` of the wall
+    with one field changed, and is_brick whether it still is a brick."""
+    wall, n = draw(st.sampled_from(SHUFFLED_WALLS)), draw(st.integers(1, 2))
+    rows = _shuffled_wall(wall, n)[1].rows
+    index = draw(st.integers(0, len(rows) - 1))
+    row, field = list(rows[index]), draw(st.integers(0, 4))
+    kind = draw(st.sampled_from(
+        ["missing", "lacked type"] if field == 0 else
+        ["missing", "float", "bool", "zero", "negative"]))
+    if kind == "missing":
+        del row[field]
+    elif kind == "lacked type":
+        row[field] = "Z9"
+    elif kind == "float":
+        row[field] = draw(st.sampled_from([row[field] + 0.5, float(row[field])]))
+    elif kind == "bool":
+        row[field] = draw(st.booleans())
+    else:
+        row[field] = 0 if kind == "zero" else -1 - abs(row[field])
+    is_brick = kind == "lacked type" or kind in ("zero", "negative") and field < 3
+    return wall, n, index, tuple(row), is_brick
+
+
+SIGMA3_N1 = (("sigma3", "B22", None), 1)
+
+
+@given(walls_with_one_field_changed())
+@example((*SIGMA3_N1, 0, ("B11", 1.0, 1, 1, 1), False))
+@example((*SIGMA3_N1, 1, ("B11", True, 2, 1, 1), False))
+@example((*SIGMA3_N1, 2, ("B11", 0.5, 0, 1, 1), False))
+@example((*SIGMA3_N1, 3, ("B11", 0, 0, -1, 1), False))
+@example((*SIGMA3_N1, 4, ("B11", 5, 0, 0, 0), False))
+@settings(max_examples=60, deadline=None)
+def test_every_wall_function_answers_or_names_the_fault(case):
+    # a wall's text and rows with one field changed: parse_pattern and
+    # Pattern(...) refuse it naming the line or row unless it is still a
+    # brick; then every function that takes a wall answers, or raises a
+    # RuleError naming the brick type or where the bricks overlap
+    wall, n, index, row, is_brick = case
+    rule, pat = _shuffled_wall(wall, n)
+    rows = list(pat.rows)
+    rows[index] = row
+    text = format_pattern(pat).splitlines()[0] + "\n" + "".join(
+        " ".join(map(str, r)) + "\n" for r in rows)
+    if not is_brick:
+        with pytest.raises(ValueError, match=f"^bad pattern line {index + 2}: "):
+            parse_pattern(text)
+        with pytest.raises(ValueError, match=f"^brick row {re.escape(repr(row))} is"):
+            Pattern(pat.rule_name, n, pat.seed_type, pat.rng_seed, rows)
+        return
+    got = Pattern(pat.rule_name, n, pat.seed_type, pat.rng_seed, rows)
+    assert parse_pattern(text).rows == got.rows
+    assert parse_pattern(format_pattern(got)).rows == got.rows
+    assert vertical_joints(got).pattern is got and got.bbox()
+    names_the_type = f"^unknown brick type '{row[0]}' in rule '{rule.name}'$"
+    for call, fault in [
+            (lambda: check_no_overlap(got.rows), "^bricks overlap near x=-?\\d+, y="),
+            (lambda: to_svg(got, rule), names_the_type),
+            (lambda: substitute_once(rule, got, SplitMix64(1)),
+             f"{names_the_type}|^bricks overlap near|is a block rule")]:
+        try:
+            call()
+        except RuleError as error:
+            assert re.search(fault, str(error)), error
 
 
 @pytest.mark.parametrize("name, p", [

@@ -303,6 +303,19 @@ def test_analysis_builds_each_level_once(monkeypatch, capsys):
     assert calls == {"steps": 4, "has_crossing": 3}
 
 
+@pytest.mark.parametrize("name, seed, n", [
+    ("sigma3", "B11", 3), ("sigma3", "B11", 4), ("sigma3", "B22", 2),
+    ("ptm", "0", 3)])
+def test_analysis_measures_every_level(name, seed, n):
+    # sigma3 from B11 reads v_max 0, 1, 4, 3, 7 at n = 0..4, so the bound is
+    # measured at a level below n; only level n gets the full report
+    rule = builtin(name)
+    walls = list(brickwall.generate.levels(rule, seed, n))
+    report, verdict = analyze(rule, seed, n)
+    assert verdict.measured_max == max(vertical_joints(w).v_max for w in walls)
+    assert report == report_with_crossings(vertical_joints(walls[-1]), rule)
+
+
 def test_check_prop2_rejects_random():
     rule = builtin("random_self_similar")
     with pytest.raises(ValueError):

@@ -6,12 +6,14 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from brickwall import (OverlapError, RuleError, SplitMix64, builtin,
                        derive_seed, iterate, parse_rule, sample_vmax,
                        vertical_joints)
 from brickwall import generate
-from oracles import exact_vmax_law
+from brickwall.rng import _SLICE_ROWS
+from oracles import count_draws, exact_vmax_law
 
 # published reference outputs for splitmix64 with seed 0
 SPLITMIX64_SEED0 = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
@@ -38,6 +40,39 @@ def test_splitmix64_seed_range(seed):
         SplitMix64(seed)
     with pytest.raises(ValueError):
         derive_seed(seed, 0)
+    with pytest.raises(ValueError, match=r"outside \[0, 2\*\*64\)"):
+        generate.Pattern("a", 0, None, seed, [])  # its text could not be read
+
+
+@pytest.mark.parametrize("seed", [True, False, 1.5, 3.0, "3"])
+def test_rng_seed_must_be_an_int(seed):
+    # a bool would write the header seed=True, which parse_pattern refuses
+    message = f"^rng seed {re.escape(repr(seed))} is not an int$"
+    rss, pp = builtin("random_self_similar"), builtin("random_pp")
+    for call in [lambda: SplitMix64(seed), lambda: derive_seed(seed, 1),
+                 lambda: iterate(rss, "B22", 2, rng_seed=seed),
+                 lambda: next(generate.levels(rss, "B22", 2, rng_seed=seed)),
+                 lambda: sample_vmax(pp, "B22", 2, Fraction(1, 2), trials=2,
+                                     base_seed=seed),
+                 lambda: generate.Pattern("a", 0, None, seed, [])]:
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+@given(seed=st.sampled_from([0, 2 ** 64 - 1]) | st.integers(0, 2 ** 64 - 1),
+       k=st.integers(0, _SLICE_ROWS + 64))
+@example(seed=0, k=_SLICE_ROWS + 1)
+@example(seed=2 ** 64 - 1, k=_SLICE_ROWS + 1)
+@settings(max_examples=40, deadline=None)
+def test_take_is_k_single_draws(seed, k):
+    # take advances the state at once, so a draw made before its outputs
+    # are read is the (k+1)-th; lane sums wrap mod 2**64 at the top seed
+    bulk, single = SplitMix64(seed), SplitMix64(seed)
+    outputs = bulk.take(k)
+    after = bulk.next_u64()
+    assert list(outputs) == [single.next_u64() for _ in range(k)]
+    assert after == single.next_u64()
+    assert bulk.state == single.state
 
 
 def test_derive_seed():
@@ -139,19 +174,6 @@ PCLASH = ("rule pclash\nengine geometric\nexpansion 2 2\nbrick A 1 1\n"
           "image A prob 1-p { A @ 0 0 ; A @ 1 0 ; A @ 0 1 ; A @ 1 1 }\nend\n")
 
 
-def _count_draws(monkeypatch):
-    """Count every SplitMix64 draw from here on; returns the live count."""
-    draws = [0]
-    draw = SplitMix64.next_u64
-
-    def counted(self):
-        draws[0] += 1
-        return draw(self)
-
-    monkeypatch.setattr(SplitMix64, "next_u64", counted)
-    return draws
-
-
 # sha256 of sample_vmax(random_pp, seed, n, k/10, trials, base_seed).samples
 # for k = 0..10, one line of space-separated samples per k; frozen before
 # sample_vmax stopped calling iterate and vertical_joints per trial
@@ -210,14 +232,14 @@ def test_sampling_draw_stream(monkeypatch):
     for k in range(4):
         walls = generate.levels(bound, "B22", 3, derive_seed(1, k))
         expected += 1 + sum(len(wall) for wall in walls if wall.level < 3)
-    draws = _count_draws(monkeypatch)
+    draws = count_draws(monkeypatch)
     sample_vmax(builtin("random_pp"), "B22", 3, Fraction(3, 10), trials=4,
                 base_seed=1)
     assert draws[0] == expected
 
 
 def test_sampling_errors(monkeypatch):
-    draws = _count_draws(monkeypatch)
+    draws = count_draws(monkeypatch)
     # n is refused with iterate's own message before any trial draws
     for n, error, message in [
             (-1, ValueError, "depth must be >= 0, got -1"),
