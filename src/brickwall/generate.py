@@ -47,13 +47,18 @@ class Pattern:
 
     rows holds the bricks as plain (type_id, x, y, width, height) tuples,
     always in _ORDER, (y, x, type_id): Pattern(...) takes bricks or tuples
-    in any order, refuses a row that is not a brick (_brick_row) and an
-    rng_seed that is neither None nor a SplitMix64 seed, and keeps a sorted
-    copy.  The PRNG draws and every output take one pass over the rows in
-    that order; bricks is the same wall as Brick records, built on first
-    read."""
+    in any order, refuses what its text cannot carry (a rule name that is
+    no word, a level that is no int >= 0, a row that is not a brick, an
+    rng_seed that is no SplitMix64 seed) and keeps a sorted copy.  The PRNG
+    draws and every output take one pass over the rows in that order;
+    bricks is the same wall as Brick records, built on first read."""
 
     def __init__(self, rule_name, level, seed_type, rng_seed, bricks):
+        if not _is_word(rule_name):
+            raise ValueError(f"rule name {rule_name!r} is not a non-empty"
+                             " str without whitespace")
+        if type(level) is not int or level < 0:
+            raise ValueError(f"level {level!r} is not an int >= 0")
         self.rule_name, self.level = rule_name, level
         self.seed_type = seed_type
         self.rng_seed = rng_seed if rng_seed is None else check_rng_seed(rng_seed)
@@ -117,15 +122,21 @@ _X = itemgetter(1)  # a brick's x, which orders one row of a wall
 _FIELDS = attrgetter("rule_name", "level", "seed_type", "rng_seed", "rows")
 
 
+def _is_word(name) -> bool:
+    """Whether name is a word: a non-empty str without whitespace, which
+    one token of the pattern text carries."""
+    return type(name) is str and name.split() == [name]
+
+
 def _brick_row(brick) -> Tuple:
-    """brick as a plain row, or ValueError naming it unless it holds a str
+    """brick as a plain row, or ValueError naming it unless it holds a word
     type id, int x and y, and int width and height >= 1 (a bool is no int)."""
     row = tuple(brick)
-    if (len(row) != 5 or type(row[0]) is not str
+    if (len(row) != 5 or not _is_word(row[0])
             or any(type(v) is not int for v in row[1:])
             or row[3] < 1 or row[4] < 1):
         raise ValueError(f"brick row {brick!r} is not (type_id, x, y, width,"
-                         " height) of a str, two ints and two ints >= 1")
+                         " height) of a word, two ints and two ints >= 1")
     return row
 
 
@@ -247,20 +258,24 @@ def _substitution_table(rule: SubstitutionRule):
     return table
 
 
-def _substitute_bricks(rule: SubstitutionRule, rows, rng,
-                       supertiles=False) -> Tuple[tuple, ...]:
-    """The children of rows, in _ORDER, with one draw per parent that has
-    options, in the order of rows: pass a Pattern's, which keeps _ORDER.
-    With supertiles, each parent's supertile is scaled into place instead.
-    Children are filed by y, each row is sorted by x alone, and the rows
-    are joined bottom to top.  A row arrives as a few ascending runs, one
-    per parent row that feeds it, so its sort is near-linear.  Two children
-    on one (x, y) overlap, and no caller returns a wall that overlaps, so x
-    orders a row as (x, type_id) would."""
-    table, l1, l2 = rule.substitution_table, rule.lambda1, rule.lambda2
-    if supertiles:
-        k = _SUPERTILE_LEVELS
-        table, l1, l2 = rule.supertile_table, l1 ** k, l2 ** k
+def _supertile_table(rule: SubstitutionRule):
+    """Per type id, its supertile, the wall _SUPERTILE_LEVELS levels down
+    from it, in _substitution_table's shape, built on first lookup: sigma^k
+    is a substitution with expansion lambda^k (Baake & Grimm, ch. 5)."""
+    def supertile(t):
+        *_, rows = _wall_rows(rule, t, _SUPERTILE_LEVELS, None)
+        return (), (rows,)
+    return _Memo(supertile)
+
+
+def _substitute_bricks(table, l1, l2, rows, rng) -> Tuple[tuple, ...]:
+    """One step of table at scale (l1, l2): the children of rows in _ORDER,
+    one draw per parent that has options, in the order of rows (pass a
+    Pattern's).  Children are filed by y, each row is sorted by x alone,
+    and the rows are joined bottom to top.  A row arrives as a few
+    ascending runs, one per parent row that feeds it, so its sort is
+    near-linear.  Two children on one (x, y) overlap, and no caller returns
+    a wall that overlaps, so x orders a row as (x, type_id) would."""
     drawn = {t for t, (thresholds, _) in table.items() if thresholds}
     draw = (rng.take(sum(map(drawn.__contains__, map(_TYPE, rows)))).__next__
             if drawn else None)  # the level's draws at once; rng None has none
@@ -286,14 +301,6 @@ def _require_geometric(rule):
                         " use iterate_block + render_grid")
 
 
-def _check_budget(rule, seed_type, n):
-    bound = max_bricks(rule, seed_type, n)
-    if bound > MAX_BRICKS:
-        raise RuleError(f"rule '{rule.name}' from seed '{seed_type}' at n={n}"
-                        f" can build {bound} bricks, over the budget of"
-                        f" {MAX_BRICKS}")
-
-
 def _check_brick_types(rule, bricks):
     for tid, x, y, w, h in bricks:
         t = rule.get_type(tid)
@@ -303,10 +310,12 @@ def _check_brick_types(rule, bricks):
 
 
 def _check_wall(rule, seed_type, n, rng_seed):
-    """Refuse a wall's arguments before any draw: the seed type, the depth,
-    an unbound p, a random rule's rng_seed, then the brick budget.  Returns
-    the seed BrickType."""
-    seed = rule.get_type(seed_type)
+    """Refuse a wall's arguments before any draw: a depth that is no int,
+    the seed type, the depth, an unbound p, a random rule's rng_seed, then
+    the brick budget.  Returns the seed the wall draws from (None if none)."""
+    if type(n) is not int:
+        raise ValueError(f"depth {n!r} is not an int")
+    rule.get_type(seed_type)
     if n < 0:
         raise ValueError(f"depth must be >= 0, got {n}")
     if n > MAX_DEPTH:
@@ -317,19 +326,27 @@ def _check_wall(rule, seed_type, n, rng_seed):
         if rng_seed is None:
             raise RuleError(f"rule '{rule.name}' is random; rng_seed is required")
         check_rng_seed(rng_seed)
-    _check_budget(rule, seed_type, n)
-    return seed
+    bound = max_bricks(rule, seed_type, n)
+    if bound > MAX_BRICKS:
+        raise RuleError(f"rule '{rule.name}' from seed '{seed_type}' at n={n}"
+                        f" can build {bound} bricks, over the budget of"
+                        f" {MAX_BRICKS}")
+    return rng_seed if rule.is_random else None
 
 
-def _wall_rows(rule, seed, n, rng):
+def _wall_rows(rule, seed_type, n, rng_seed):
     """The rows of a geometric wall at levels 0..n: the seed brick at the
-    origin, then one substitution step per level.  Every level is swept for
+    origin, then one substitution step per level, drawing from one
+    SplitMix64(rng_seed) unless rng_seed is None.  Every level is swept for
     overlaps unless the rule's overlap certificate is "certified"."""
+    seed = rule.get_type(seed_type)
+    rng = None if rng_seed is None else SplitMix64(rng_seed)
     rows = ((seed.id, 0, 0, seed.width, seed.height),)
     yield rows
     sweep = n > 0 and rule.overlap_certificate.verdict != "certified"
+    table, l1, l2 = rule.substitution_table, rule.lambda1, rule.lambda2
     for _ in range(n):
-        rows = _substitute_bricks(rule, rows, rng)
+        rows = _substitute_bricks(table, l1, l2, rows, rng)
         if sweep:
             check_no_overlap(rows)
         yield rows
@@ -352,14 +369,12 @@ def levels(rule: SubstitutionRule, seed_type: str, n: int,
     """The wall of one seed at levels 0..n as a Pattern each, for either
     engine: n substitution steps in all, each level made from the one
     before.  The arguments are checked before the first level."""
-    seed = _check_wall(rule, seed_type, n, rng_seed)
+    rng_seed = _check_wall(rule, seed_type, n, rng_seed)
     if rule.engine == "block":
         for grid in _grids(rule, seed_type, n):
             yield render_grid(rule, grid)
         return
-    rng = SplitMix64(rng_seed) if rule.is_random else None
-    rng_seed = rng_seed if rng is not None else None
-    for level, rows in enumerate(_wall_rows(rule, seed, n, rng)):
+    for level, rows in enumerate(_wall_rows(rule, seed_type, n, rng_seed)):
         yield Pattern._of_rows(rule.name, level, seed_type, rng_seed, rows)
 
 
@@ -371,20 +386,15 @@ def iterate(rule: SubstitutionRule, seed_type: str, n: int,
     is not "certified".  A deterministic certified rule makes its last
     _SUPERTILE_LEVELS steps as one, each brick becoming its type's supertile."""
     _require_geometric(rule)
-    seed = _check_wall(rule, seed_type, n, rng_seed)
-    rng = SplitMix64(rng_seed) if rule.is_random else None
-    last = (_SUPERTILE_LEVELS if rng is None and n >= _SUPERTILE_LEVELS
-            and rule.overlap_certificate.verdict == "certified" else 0)
-    for rows in _wall_rows(rule, seed, n - last, rng):
+    rng_seed = _check_wall(rule, seed_type, n, rng_seed)
+    k = (_SUPERTILE_LEVELS if rng_seed is None and n >= _SUPERTILE_LEVELS
+         and rule.overlap_certificate.verdict == "certified" else 0)
+    for rows in _wall_rows(rule, seed_type, n - k, rng_seed):
         pass
-    if last:  # each type's supertile is built on first need, once per rule
-        table = rule.supertile_table
-        for t in {row[0] for row in rows}.difference(table):
-            *_, supertile = _wall_rows(rule, rule.get_type(t), last, None)
-            table[t] = ((), (supertile,))
-        rows = _substitute_bricks(rule, rows, None, supertiles=True)
-    return Pattern._of_rows(rule.name, n, seed_type,
-                            rng_seed if rng is not None else None, rows)
+    if k:
+        rows = _substitute_bricks(rule.supertile_table, rule.lambda1 ** k,
+                                  rule.lambda2 ** k, rows, None)
+    return Pattern._of_rows(rule.name, n, seed_type, rng_seed, rows)
 
 
 def substitute_once(rule: SubstitutionRule, pattern: Pattern,
@@ -397,7 +407,8 @@ def substitute_once(rule: SubstitutionRule, pattern: Pattern,
         raise RuleError(f"rule '{rule.name}' has unbound parameter p; bind it first")
     if rule.is_random and rng is None:
         raise RuleError(f"rule '{rule.name}' is random; an rng is required")
-    rows = _substitute_bricks(rule, pattern.rows, rng)
+    rows = _substitute_bricks(rule.substitution_table, rule.lambda1,
+                              rule.lambda2, pattern.rows, rng)
     check_no_overlap(rows)  # the input pattern may come from anywhere
     return Pattern._of_rows(rule.name, pattern.level + 1, pattern.seed_type,
                             pattern.rng_seed, rows)

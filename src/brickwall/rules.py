@@ -173,10 +173,10 @@ class SubstitutionRule:
 
     @cached_property
     def supertile_table(self):
-        """Per type id, its supertile, the wall generate._SUPERTILE_LEVELS
-        levels down from it, in substitution_table's shape; generate.iterate
-        fills it on first need."""
-        return {}
+        """generate._supertile_table of this rule: each type's supertile,
+        built on its first lookup."""
+        from .generate import _supertile_table  # generate imports rules
+        return _supertile_table(self)
 
     def get_type(self, type_id: str) -> BrickType:
         for t in self.types:

@@ -159,6 +159,8 @@ def _level_counts(rule: SubstitutionRule, rows, seed_type: str, n: int):
     """The seed's count vector v_n after n steps of rows, and the sum of v_m
     over m < n.  Under unit expansion the area is fixed, so the vectors
     repeat: at the first repeat, all whole periods left are skipped."""
+    if type(n) is not int:
+        raise ValueError(f"depth {n!r} is not an int")
     if n < 0:
         raise ValueError(f"depth must be >= 0, got {n}")
     v = _seed_vector(rule, seed_type)

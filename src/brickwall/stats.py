@@ -15,7 +15,7 @@ from typing import Dict, NamedTuple, Tuple
 
 from .generate import _check_wall, _wall_rows
 from .joints import _v_max
-from .rng import SplitMix64, derive_seed
+from .rng import derive_seed
 from .rules import RuleError, SubstitutionRule
 
 
@@ -65,6 +65,8 @@ def sample_vmax(rule: SubstitutionRule, seed_type: str, n: int, p,
     p = 1 degenerate to deterministic choices, and every trial then yields
     the same pattern no matter the seed.
     """
+    if type(trials) is not int:
+        raise ValueError(f"trials {trials!r} is not an int")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     p = Fraction(p)
@@ -72,11 +74,10 @@ def sample_vmax(rule: SubstitutionRule, seed_type: str, n: int, p,
         raise RuleError(f"rule '{rule.name}' has no parameter p to sample over")
     bound = rule.bind(p)
     # base_seed is in range iff every base_seed ^ k is
-    seed = _check_wall(bound, seed_type, n, base_seed)
+    _check_wall(bound, seed_type, n, base_seed)
     samples = []
     for k in range(trials):
-        rng = SplitMix64(derive_seed(base_seed, k))
-        for rows in _wall_rows(bound, seed, n, rng):
+        for rows in _wall_rows(bound, seed_type, n, derive_seed(base_seed, k)):
             pass
         samples.append(_v_max(rows))
     return VmaxStats(p, n, trials, base_seed, tuple(samples))

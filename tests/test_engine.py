@@ -245,7 +245,9 @@ def test_filed_step_equals_the_sorted_step(name, p):
         for rng_seed in (1, 7) if rule.is_random else (None,):
             for wall in levels(rule, seed_type, 4, rng_seed):
                 rngs = [SplitMix64(wall.level) for _ in range(2)]
-                assert _substitute_bricks(rule, wall.rows, rngs[0]) == \
+                assert _substitute_bricks(
+                    rule.substitution_table, rule.lambda1, rule.lambda2,
+                    wall.rows, rngs[0]) == \
                     sorted_substitution_step(rule, wall.rows, rngs[1])
                 assert rngs[0].state == rngs[1].state  # the same draws
 
@@ -450,6 +452,19 @@ def test_each_supertile_is_built_once_per_rule():
     assert builtin("sigma3").supertile_table == {}  # one table per rule
 
 
+@pytest.mark.parametrize("n", [True, False, 1.5, 2.0, "2"])
+def test_depth_must_be_an_int(n):
+    # a bool would write the header n=True, which parse_pattern refuses
+    sigma3, ptm = builtin("sigma3"), builtin("ptm")
+    for call in [lambda: iterate(sigma3, "B22", n),
+                 lambda: next(levels(sigma3, "B22", n)),
+                 lambda: iterate_block(ptm, "0", n),
+                 lambda: generate_pattern(ptm, "0", n)]:
+        with pytest.raises(ValueError, match=f"^depth {re.escape(repr(n))}"
+                                             " is not an int$"):
+            call()
+
+
 def test_brick_budget_fails_before_building():
     sigma3 = builtin("sigma3")
     assert count_bricks(sigma3, "B22", 10) > MAX_BRICKS
@@ -582,11 +597,43 @@ def test_pattern_refuses_rows_that_are_not_bricks():
     for bad in [("B11", 1.0, 1, 1, 1), ("B11", True, 2, 1, 1),
                 ("B11", 0, False, 1, 1), (7, 0, 0, 1, 1), ("B11", 0, 0, 0, 1),
                 ("B11", 0, 0, 1, -1), ("B11", 0, 0, 1.0, 1), ("B11", 0, 0, 1),
-                Brick("B11", 0.5, 0, 1, 1)]:
+                Brick("B11", 0.5, 0, 1, 1), ("", 0, 0, 1, 1),
+                ("B 11", 0, 0, 1, 1)]:
         with pytest.raises(ValueError, match=r"^brick row .* is not \(type_id"):
             Pattern("a", 0, None, None, [good, bad])
     pat = Pattern("a", 0, None, None, [Brick(*good), ("B11", -3, 0, 1, 2)])
     assert pat.rows == (("B11", -3, 0, 1, 2), good)
+
+
+def _word(name):
+    return isinstance(name, str) and name != "" and not any(
+        c.isspace() for c in name)
+
+
+@given(rule_name=st.text(max_size=4) | st.integers(),
+       level=st.integers(-2, 99) | st.booleans() | st.floats(0, 9),
+       rng_seed=st.none() | st.integers(0, 2 ** 64 - 1),
+       type_ids=st.lists(st.text(max_size=3), min_size=1, max_size=3))
+@example("my rule", 0, None, ["B11"])
+@example("", 0, None, ["B11"])
+@example("a", -1, None, ["B11"])
+@example("a", True, None, ["B11"])
+@example("a", 1.5, None, ["B11"])
+@example("a", 0, None, ["B 11"])
+@example("sigma3", 4, 7, ["B11", "B22"])
+def test_every_pattern_header_reads_back(rule_name, level, rng_seed, type_ids):
+    # Pattern(...) takes only what its text carries: a one-word rule name
+    # and type ids, and a level that is an int >= 0
+    rows = [(t, x, 0, 1, 1) for x, t in enumerate(type_ids)]
+    if not (_word(rule_name) and type(level) is int and level >= 0
+            and all(map(_word, type_ids))):
+        with pytest.raises(ValueError, match=r"^(rule name|level|brick row) "):
+            Pattern(rule_name, level, "B11", rng_seed, rows)
+        return
+    pat = Pattern(rule_name, level, "B11", rng_seed, rows)
+    back = parse_pattern(format_pattern(pat))
+    assert (back.rule_name, back.level, back.rng_seed, back.rows) == \
+        (rule_name, level, rng_seed, pat.rows)
 
 
 def test_text_lines_sorted_by_row_then_column():

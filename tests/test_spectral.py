@@ -372,3 +372,12 @@ def test_count_errors():
         count_realizations(builtin("sigma3"), "B22", -1)
     with pytest.raises(RuleError):
         count_bricks(builtin("sigma3"), "B99", 2)
+    # a depth that is no int would count some other level
+    sigma3, rss = builtin("sigma3"), builtin("random_self_similar")
+    for call, n in [(lambda n: count_bricks(sigma3, "B22", n), 2.5),
+                    (lambda n: count_bricks(sigma3, "B22", n), True),
+                    (lambda n: count_realizations(rss, "B22", n), 1.5),
+                    (lambda n: max_bricks(sigma3, "B22", n), 2.5),
+                    (lambda n: max_bricks(sigma3, "B22", n), "2")]:
+        with pytest.raises(ValueError, match=f"^depth {n!r} is not an int$"):
+            call(n)

@@ -246,9 +246,20 @@ def test_sampling_errors(monkeypatch):
             (13, ValueError, "depth 13 exceeds MAX_DEPTH=12"),
             (12, RuleError, "rule 'random_pp' from seed 'B22' at n=12 can"
                             " build 33554432 bricks, over the budget of"
-                            " 2097152")]:
+                            " 2097152"),
+            # a bool would report "n": true; the others would not run
+            (True, ValueError, "depth True is not an int"),
+            (1.5, ValueError, "depth 1.5 is not an int"),
+            (2.0, ValueError, "depth 2.0 is not an int"),
+            ("2", ValueError, "depth '2' is not an int")]:
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             sample_vmax(builtin("random_pp"), "B22", n, Fraction(1, 2))
+        assert draws[0] == 0
+    for trials in [True, 2.5, "2"]:
+        with pytest.raises(ValueError, match=f"^trials {re.escape(repr(trials))}"
+                                             " is not an int$"):
+            sample_vmax(builtin("random_pp"), "B22", 2, Fraction(1, 2),
+                        trials=trials)
         assert draws[0] == 0
     with pytest.raises(ValueError):
         sample_vmax(builtin("random_pp"), "B22", 2, Fraction(1, 2), trials=0)
