@@ -43,7 +43,7 @@ class OverlapError(RuleError):
 
 
 class Pattern:
-    """A wall: its bricks and how it was made; equal when every field is.
+    """A wall, exactly as its pattern text holds it; equal when every field is.
 
     rows holds the bricks as plain (type_id, x, y, width, height) tuples,
     always in _ORDER, (y, x, type_id): Pattern(...) takes bricks or tuples
@@ -53,24 +53,22 @@ class Pattern:
     draws and every output take one pass over the rows in that order;
     bricks is the same wall as Brick records, built on first read."""
 
-    def __init__(self, rule_name, level, seed_type, rng_seed, bricks):
+    def __init__(self, rule_name, level, rng_seed, bricks):
         if not _is_word(rule_name):
             raise ValueError(f"rule name {rule_name!r} is not a non-empty"
                              " str without whitespace")
         if type(level) is not int or level < 0:
             raise ValueError(f"level {level!r} is not an int >= 0")
         self.rule_name, self.level = rule_name, level
-        self.seed_type = seed_type
         self.rng_seed = rng_seed if rng_seed is None else check_rng_seed(rng_seed)
         self.rows = tuple(sorted(map(_brick_row, bricks), key=_ORDER))
 
     @classmethod
-    def _of_rows(cls, rule_name, level, seed_type, rng_seed, rows):
+    def _of_rows(cls, rule_name, level, rng_seed, rows):
         """A Pattern of rows the engine built in _ORDER: no sort, no copy."""
         pattern = cls.__new__(cls)
         pattern.rule_name, pattern.level = rule_name, level
-        pattern.seed_type, pattern.rng_seed = seed_type, rng_seed
-        pattern.rows = rows
+        pattern.rng_seed, pattern.rows = rng_seed, rows
         return pattern
 
     def __eq__(self, other):
@@ -113,13 +111,12 @@ class LetterGrid(NamedTuple):
 
     rows: Tuple[Tuple[str, ...], ...]
     level: int
-    seed_letter: str
 
 
 _ORDER = itemgetter(2, 1, 0)  # wall order, (y, x, type_id): draws and outputs
 _TYPE = itemgetter(0)  # a brick's type id
 _X = itemgetter(1)  # a brick's x, which orders one row of a wall
-_FIELDS = attrgetter("rule_name", "level", "seed_type", "rng_seed", "rows")
+_FIELDS = attrgetter("rule_name", "level", "rng_seed", "rows")
 
 
 def _is_word(name) -> bool:
@@ -361,7 +358,7 @@ def _grids(rule, seed_letter, n):
         if level:
             rows = [list(chain.from_iterable(map(table.__getitem__, row)))
                     for row in rows for table in tables]
-        yield LetterGrid(tuple(map(tuple, rows)), level, seed_letter)
+        yield LetterGrid(tuple(map(tuple, rows)), level)
 
 
 def levels(rule: SubstitutionRule, seed_type: str, n: int,
@@ -375,7 +372,7 @@ def levels(rule: SubstitutionRule, seed_type: str, n: int,
             yield render_grid(rule, grid)
         return
     for level, rows in enumerate(_wall_rows(rule, seed_type, n, rng_seed)):
-        yield Pattern._of_rows(rule.name, level, seed_type, rng_seed, rows)
+        yield Pattern._of_rows(rule.name, level, rng_seed, rows)
 
 
 def iterate(rule: SubstitutionRule, seed_type: str, n: int,
@@ -394,7 +391,7 @@ def iterate(rule: SubstitutionRule, seed_type: str, n: int,
     if k:
         rows = _substitute_bricks(rule.supertile_table, rule.lambda1 ** k,
                                   rule.lambda2 ** k, rows, None)
-    return Pattern._of_rows(rule.name, n, seed_type, rng_seed, rows)
+    return Pattern._of_rows(rule.name, n, rng_seed, rows)
 
 
 def substitute_once(rule: SubstitutionRule, pattern: Pattern,
@@ -410,8 +407,7 @@ def substitute_once(rule: SubstitutionRule, pattern: Pattern,
     rows = _substitute_bricks(rule.substitution_table, rule.lambda1,
                               rule.lambda2, pattern.rows, rng)
     check_no_overlap(rows)  # the input pattern may come from anywhere
-    return Pattern._of_rows(rule.name, pattern.level + 1, pattern.seed_type,
-                            pattern.rng_seed, rows)
+    return Pattern._of_rows(rule.name, pattern.level + 1, pattern.rng_seed, rows)
 
 
 def iterate_block(rule: SubstitutionRule, seed_letter: str, n: int) -> LetterGrid:
@@ -440,8 +436,7 @@ def render_grid(rule: SubstitutionRule, grid: LetterGrid) -> Pattern:
                 x += w
     except KeyError as missing:
         rule.get_type(missing.args[0])  # raises: the rule lacks this letter
-    return Pattern._of_rows(rule.name, grid.level, grid.seed_letter, None,
-                            tuple(rows))
+    return Pattern._of_rows(rule.name, grid.level, None, tuple(rows))
 
 
 def generate_pattern(rule: SubstitutionRule, seed_type: str, n: int,
@@ -486,8 +481,11 @@ def parse_pattern(text: str) -> Pattern:
     m = _HEADER_RE.match(header)
     if not m:
         raise ValueError(f"bad pattern header on line {number}: {header!r}")
-    rule_name, level = m.group(1), int(m.group(2))
-    rng_seed = None if m.group(3) == "-" else int(m.group(3))
+    rule_name, level, seed = m.groups()
+    try:  # the seeds Pattern(...) takes, no more
+        rng_seed = None if seed == "-" else check_rng_seed(int(seed))
+    except ValueError as refusal:
+        raise ValueError(f"bad pattern header on line {number}: {refusal}") from None
     rows = []  # each row is checked here, so Pattern(...) need not again
     for number, line in lines:
         parts = line.split()
@@ -504,4 +502,4 @@ def parse_pattern(text: str) -> Pattern:
                              " width and height >= 1") from None
         rows.append(row)
     rows.sort(key=_ORDER)
-    return Pattern._of_rows(rule_name, level, None, rng_seed, tuple(rows))
+    return Pattern._of_rows(rule_name, int(level), rng_seed, tuple(rows))

@@ -41,7 +41,10 @@ class SplitMix64:
 
     def take(self, k: int):
         """An iterator over the next k outputs, as k calls of next_u64 give
-        them; the state moves k steps on at once."""
+        them; the state moves k steps on at once.  ValueError unless k is
+        an int >= 0 (nor a bool): a negative k would move the state back."""
+        if type(k) is not int or k < 0:
+            raise ValueError(f"draw count {k!r} is not an int >= 0")
         state, self.state = self.state, (self.state + k * _GAMMA) & MASK64
         return _outputs(state, k)
 

@@ -368,6 +368,7 @@ def parse_rule(text: str) -> SubstitutionRule:
     blocks: Dict[str, Tuple[Tuple[str, ...], ...]] = {}
     ended = False
     last_line = 0
+    once = set()  # the statements a rule holds one of, as far as read
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = _tokenize(raw)
@@ -379,10 +380,12 @@ def parse_rule(text: str) -> SubstitutionRule:
             ln.take()
             ln.error("statement after 'end'")
         head = ln.take("statement")
+        if head in ("rule", "engine", "expansion"):
+            if head in once:
+                ln.error(f"duplicate '{head}' statement")
+            once.add(head)
 
         if head == "rule":
-            if name is not None:
-                ln.error("duplicate 'rule' statement")
             name = ln.take("rule name")
             ln.done()
         elif head == "engine":
@@ -525,7 +528,9 @@ def parse_rule(text: str) -> SubstitutionRule:
 
 
 def serialize_rule(rule: SubstitutionRule) -> str:
-    """Canonical DSL text for a rule; parse_rule(serialize_rule(r)) == r."""
+    """Canonical DSL text for a rule; parse_rule(serialize_rule(r)) == r.
+    The DSL spells a constant, p and 1-p; any other probability is a
+    RuleError naming the type and option."""
     out = [f"rule {rule.name}"]
     if rule.engine == "block":
         out.append(f"engine block skew {rule.skew}")
@@ -537,7 +542,12 @@ def serialize_rule(rule: SubstitutionRule) -> str:
     if rule.engine == "geometric":
         for t in rule.types:
             opts = rule.images[t.id]
-            for opt in opts:
+            for k, opt in enumerate(opts):
+                if opt.probability.is_parametric and \
+                        str(opt.probability) not in ("p", "1-p"):
+                    raise RuleError(f"{t.id} option {k}: probability"
+                                    f" {opt.probability} has no rule-file"
+                                    " spelling (want num/den, p, or 1-p)")
                 body = " ; ".join(f"{b.type_id} @ {b.x} {b.y}"
                                   for b in opt.placements)
                 if len(opts) == 1 and opt.probability == Prob(_ONE):

@@ -38,7 +38,7 @@ GOLDEN_RSS_SHA = "d1451eb391053a02cd61740d5b3b3f5731b65ad94bdadd4a0ba8bc8ff0fd17
 def test_iterate_level_zero():
     pat = iterate(builtin("sigma3"), "B11", 0)
     assert pat.bricks == (Brick("B11", 0, 0, 1, 1),)
-    assert pat.level == 0 and pat.seed_type == "B11" and pat.rng_seed is None
+    assert pat.level == 0 and pat.rng_seed is None
 
 
 def test_sigma3_single_step_image():
@@ -49,7 +49,7 @@ def test_sigma3_single_step_image():
 
 def test_substitute_once_single_brick():
     rule = builtin("sigma3")
-    pat = Pattern("sigma3", 0, "B21", None, (Brick("B21", 0, 0, 2, 1),))
+    pat = Pattern("sigma3", 0, None, (Brick("B21", 0, 0, 2, 1),))
     out = substitute_once(rule, pat)
     assert {(b.type_id, b.x, b.y) for b in out.bricks} == {
         ("B21", -1, 0), ("B22", 1, 0), ("B11", 0, 1), ("B11", 3, 1)}
@@ -57,12 +57,12 @@ def test_substitute_once_single_brick():
 
 
 def test_substitute_once_needs_a_bound_rule_and_an_rng():
-    pat = Pattern("adhoc", 0, None, None, (Brick("B22", 0, 0, 2, 2),))
+    pat = Pattern("adhoc", 0, None, (Brick("B22", 0, 0, 2, 2),))
     with pytest.raises(RuleError, match="unbound parameter p"):
         substitute_once(builtin("random_pp"), pat, SplitMix64(1))
     with pytest.raises(RuleError, match="an rng is required"):
         substitute_once(builtin("random_self_similar"), pat)
-    wide = Pattern("adhoc", 0, None, None, (("B21", 0, 0, 3, 1),))
+    wide = Pattern("adhoc", 0, None, (("B21", 0, 0, 3, 1),))
     with pytest.raises(RuleError) as refused:
         substitute_once(builtin("sigma3"), wide)
     assert str(refused.value) == "brick B21@(0,0) has size 3x1, rule says 2x1"
@@ -70,7 +70,7 @@ def test_substitute_once_needs_a_bound_rule_and_an_rng():
 
 def test_substitute_once_empty_pattern():
     rule = builtin("sigma3")
-    empty = Pattern("sigma3", 0, None, None, ())
+    empty = Pattern("sigma3", 0, None, ())
     assert substitute_once(rule, empty).bricks == ()
 
 
@@ -99,7 +99,7 @@ def test_deterministic_composition():
 def test_random_composition_single_stream():
     rule = builtin("random_self_similar")
     rng = SplitMix64(42)
-    pat = Pattern(rule.name, 0, "B22", 42, (Brick("B22", 0, 0, 2, 2),))
+    pat = Pattern(rule.name, 0, 42, (Brick("B22", 0, 0, 2, 2),))
     for _ in range(4):
         pat = substitute_once(rule, pat, rng)
     assert pat.bricks == iterate(rule, "B22", 4, rng_seed=42).bricks
@@ -185,7 +185,7 @@ def test_draws_at_every_threshold_pick_the_exact_option(rule):
                           if d * Q.denominator < Q.numerator << 64),
                          len(options) - 1)
                 rng = _FixedDraw(d)
-                seed = Pattern(rule.name, 0, t.id, None,
+                seed = Pattern(rule.name, 0, None,
                                (Brick(t.id, 0, 0, t.width, t.height),))
                 got = substitute_once(rule, seed, rng)
                 assert rng.draws == 1
@@ -259,7 +259,7 @@ def test_random_iterate_deterministic_and_area(seed):
     a = iterate(rule, "B22", 2, rng_seed=seed)
     b = iterate(rule, "B22", 2, rng_seed=seed)
     assert a == b and hash(a) == hash(b)
-    assert a != Pattern(a.rule_name, a.level, a.seed_type, seed ^ 1, a.rows)
+    assert a != Pattern(a.rule_name, a.level, seed ^ 1, a.rows)
     assert len(a.bricks) == 24  # brick count independent of seed
     assert a.area == 16 * 4  # (lambda1*lambda2)^2 * area(B22)
 
@@ -280,7 +280,7 @@ def test_generation_overlap_detected():
     rule = parse_rule(
         "rule clash\nengine geometric\nexpansion 2 2\nbrick A 1 1\n"
         "image A { A @ 0 0 ; A @ 1 0 ; A @ 2 0 ; A @ 3 0 }\nend\n")
-    pat = Pattern("clash", 0, None, None,
+    pat = Pattern("clash", 0, None,
                   (Brick("A", 0, 0, 1, 1), Brick("A", 1, 0, 1, 1)))
     with pytest.raises(OverlapError):
         substitute_once(rule, pat)
@@ -402,9 +402,8 @@ def test_iterate_equals_the_level_loop(rule):
     for seed_type in rule.type_ids:
         for n, wall in enumerate(levels(rule, seed_type, 6)):
             pattern = iterate(rule, seed_type, n)
-            assert pattern == wall  # rows, level, seed_type and rng_seed
-            assert (pattern.level, pattern.seed_type, pattern.rng_seed) == \
-                (n, seed_type, None)
+            assert pattern == wall  # rule name, level, rng_seed and rows
+            assert (pattern.level, pattern.rng_seed) == (n, None)
 
 
 # lambda2 = 1, so its overlap certificate is undecided
@@ -547,11 +546,10 @@ def test_render_grid_examples():
 def test_render_grid_refuses_what_it_cannot_draw():
     # sigma3's B22 is 2x2, which a letter grid of 1-high rows cannot draw
     with pytest.raises(RuleError, match="rule 'sigma3' is not a block rule"):
-        render_grid(builtin("sigma3"), LetterGrid((("B22",),), 0, "B22"))
+        render_grid(builtin("sigma3"), LetterGrid((("B22",),), 0))
     with pytest.raises(RuleError,
                        match="unknown brick type 'x' in rule 'ptm'"):
-        render_grid(builtin("ptm"), LetterGrid((("0", "1"), ("1", "x")),
-                                               1, "0"))
+        render_grid(builtin("ptm"), LetterGrid((("0", "1"), ("1", "x")), 1))
 
 
 def test_generate_pattern_dispatch():
@@ -600,8 +598,8 @@ def test_pattern_refuses_rows_that_are_not_bricks():
                 Brick("B11", 0.5, 0, 1, 1), ("", 0, 0, 1, 1),
                 ("B 11", 0, 0, 1, 1)]:
         with pytest.raises(ValueError, match=r"^brick row .* is not \(type_id"):
-            Pattern("a", 0, None, None, [good, bad])
-    pat = Pattern("a", 0, None, None, [Brick(*good), ("B11", -3, 0, 1, 2)])
+            Pattern("a", 0, None, [good, bad])
+    pat = Pattern("a", 0, None, [Brick(*good), ("B11", -3, 0, 1, 2)])
     assert pat.rows == (("B11", -3, 0, 1, 2), good)
 
 
@@ -612,7 +610,7 @@ def _word(name):
 
 @given(rule_name=st.text(max_size=4) | st.integers(),
        level=st.integers(-2, 99) | st.booleans() | st.floats(0, 9),
-       rng_seed=st.none() | st.integers(0, 2 ** 64 - 1),
+       rng_seed=st.none() | st.integers(0, 2 ** 65),
        type_ids=st.lists(st.text(max_size=3), min_size=1, max_size=3))
 @example("my rule", 0, None, ["B11"])
 @example("", 0, None, ["B11"])
@@ -621,19 +619,29 @@ def _word(name):
 @example("a", 1.5, None, ["B11"])
 @example("a", 0, None, ["B 11"])
 @example("sigma3", 4, 7, ["B11", "B22"])
+@example("sigma3", 4, 2 ** 64 - 1, ["B11"])
+@example("sigma3", 4, 2 ** 64, ["B11"])
 def test_every_pattern_header_reads_back(rule_name, level, rng_seed, type_ids):
     # Pattern(...) takes only what its text carries: a one-word rule name
-    # and type ids, and a level that is an int >= 0
+    # and type ids, a level that is an int >= 0 and a SplitMix64 seed, and
+    # the text reads back equal to the Pattern
     rows = [(t, x, 0, 1, 1) for x, t in enumerate(type_ids)]
-    if not (_word(rule_name) and type(level) is int and level >= 0
-            and all(map(_word, type_ids))):
-        with pytest.raises(ValueError, match=r"^(rule name|level|brick row) "):
-            Pattern(rule_name, level, "B11", rng_seed, rows)
+    header_ok = _word(rule_name) and type(level) is int and level >= 0
+    if rng_seed is not None and rng_seed > 2 ** 64 - 1:
+        # no SplitMix64 state: the constructor and the text refuse it alike
+        with pytest.raises(ValueError, match=r"^(rule name|level|rng seed) "):
+            Pattern(rule_name, level, rng_seed, rows)
+        with pytest.raises(ValueError, match="^bad pattern header on line 1: "
+                           + ("rng seed" if header_ok else "")):
+            parse_pattern(f"# rule={rule_name} n={level} seed={rng_seed}\n")
         return
-    pat = Pattern(rule_name, level, "B11", rng_seed, rows)
+    if not (header_ok and all(map(_word, type_ids))):
+        with pytest.raises(ValueError, match=r"^(rule name|level|brick row) "):
+            Pattern(rule_name, level, rng_seed, rows)
+        return
+    pat = Pattern(rule_name, level, rng_seed, rows)
     back = parse_pattern(format_pattern(pat))
-    assert (back.rule_name, back.level, back.rng_seed, back.rows) == \
-        (rule_name, level, rng_seed, pat.rows)
+    assert back == pat and hash(back) == hash(pat)
 
 
 def test_text_lines_sorted_by_row_then_column():
@@ -664,7 +672,7 @@ def test_outputs_ignore_brick_order(wall, n, order):
     assert keys == sorted(keys)  # every builder emits this order
     bricks = list(pat.bricks)
     random.Random(order).shuffle(bricks)
-    shuffled = Pattern(pat.rule_name, pat.level, pat.seed_type, pat.rng_seed,
+    shuffled = Pattern(pat.rule_name, pat.level, pat.rng_seed,
                        tuple(bricks))
     assert shuffled.bricks == pat.bricks  # a Pattern keeps the wall order
     header, *lines = format_pattern(pat).splitlines()
@@ -729,9 +737,9 @@ def test_every_wall_function_answers_or_names_the_fault(case):
         with pytest.raises(ValueError, match=f"^bad pattern line {index + 2}: "):
             parse_pattern(text)
         with pytest.raises(ValueError, match=f"^brick row {re.escape(repr(row))} is"):
-            Pattern(pat.rule_name, n, pat.seed_type, pat.rng_seed, rows)
+            Pattern(pat.rule_name, n, pat.rng_seed, rows)
         return
-    got = Pattern(pat.rule_name, n, pat.seed_type, pat.rng_seed, rows)
+    got = Pattern(pat.rule_name, n, pat.rng_seed, rows)
     assert parse_pattern(text).rows == got.rows
     assert parse_pattern(format_pattern(got)).rows == got.rows
     assert vertical_joints(got).pattern is got and got.bbox()

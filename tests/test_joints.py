@@ -21,7 +21,7 @@ from oracles import (empirical_frequencies, rasterized_crossing,
 
 
 def _pattern(bricks):
-    return Pattern("adhoc", 0, None, None, tuple(bricks))
+    return Pattern("adhoc", 0, None, tuple(bricks))
 
 
 def test_joints_single_brick():

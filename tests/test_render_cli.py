@@ -54,7 +54,7 @@ def run(*argv):
 
 
 def _single(type_id="B11"):
-    return Pattern("adhoc", 0, None, None, (Brick(type_id, 0, 0, 1, 1),))
+    return Pattern("adhoc", 0, None, (Brick(type_id, 0, 0, 1, 1),))
 
 
 def test_svg_single_brick_document():
@@ -101,7 +101,7 @@ def test_svg_fills_are_rule_colors_in_wall_order():
         "rule paint\nengine geometric\nexpansion 2 1\n"
         "brick B 1 1\nbrick A 1 1 color #123abc\n"
         "image B { B @ 0 0 ; A @ 1 0 }\nimage A { A @ 0 0 ; B @ 1 0 }\nend\n")
-    pat = Pattern("adhoc", 0, None, None,
+    pat = Pattern("adhoc", 0, None,
                   (Brick("A", 2, 0, 1, 1), Brick("B", 0, 0, 1, 1),
                    Brick("B", 1, 0, 1, 1)))
     fills = re.findall(r'fill="([^"]+)"', to_svg(pat, rule))
@@ -113,7 +113,7 @@ def test_svg_fills_are_rule_colors_in_wall_order():
 
 
 def test_svg_errors():
-    empty = Pattern("adhoc", 0, None, None, ())
+    empty = Pattern("adhoc", 0, None, ())
     with pytest.raises(ValueError):
         to_svg(empty, builtin("sigma3"))
     with pytest.raises(ValueError, match="empty pattern has no bounding box"):
@@ -138,7 +138,7 @@ def test_hand_walls_render_as_the_oracles_at_slice_edges(rows):
     # the renderers format C bricks a slice; sigma3's three sizes cycle,
     # three bricks to a lattice row, and some rows start left of x = 0
     sizes = (("B11", 1, 1), ("B21", 2, 1), ("B22", 2, 2))
-    wall = Pattern("adhoc", 1, None, rows if rows % 2 else None,
+    wall = Pattern("adhoc", 1, rows if rows % 2 else None,
                    tuple((t, 3 * (i % 3) - i // 3 % 5, i // 3, w, h)
                          for i in range(rows) for t, w, h in [sizes[i % 3]]))
     assert len(wall) == rows
@@ -155,6 +155,7 @@ def test_builtin_walls_past_three_slices_render_as_the_oracles(
     wall = generate_pattern(rule, brick, n, rng_seed)
     assert len(wall) > 3 * C
     _renders_as_the_oracles(wall, rule)
+    assert parse_pattern(format_pattern(wall)) == wall
 
 
 @st.composite
@@ -169,11 +170,11 @@ def memo_walls(draw):
             sizes), min_size=1, max_size=20)):
         w2, h2 = w % 3 + 1, h % 3 + 1
         rows += [(t, x, y, w, h), (t, -x, y + h - h2, w2, h2)]
-    return Pattern("adhoc", 2, None, draw(st.none() | st.integers(0, 9)), rows)
+    return Pattern("adhoc", 2, draw(st.none() | st.integers(0, 9)), rows)
 
 
 @given(memo_walls())
-@example(Pattern("adhoc", 0, None, None, [
+@example(Pattern("adhoc", 0, None, [
     ("B21", x, y, 2, h) for x, y, h in
     [(255, 256, 1), (256, -257, 3), (-257, 255, 2), (-5, -6, 1)]]))
 @settings(max_examples=50, deadline=None)
@@ -808,7 +809,7 @@ def test_bricks_is_a_cached_view_of_the_rows():
         list(wall.rows)
     assert view == wall.rows and all(type(r) is tuple for r in wall.rows)
     assert wall.bricks is view
-    head = (wall.rule_name, wall.level, wall.seed_type, wall.rng_seed)
+    head = (wall.rule_name, wall.level, wall.rng_seed)
     from_rows, from_bricks = Pattern(*head, wall.rows), Pattern(*head, view)
     assert from_rows == from_bricks == wall
     assert (wall == 5) is False

@@ -63,6 +63,22 @@ def test_serialize_round_trip(name):
     assert parse_rule(serialize_rule(rule)) == rule
 
 
+def test_serialize_refuses_a_probability_the_dsl_cannot_spell():
+    # 1/2 - p/2 and 1/2 + p/2 validate, but a rule file spells only a
+    # constant, p or 1-p, so the text could not be read back
+    pp = builtin("random_pp")
+    half = Fraction(1, 2)
+    images = {t: (opts[0]._replace(probability=Prob(half, -half)),
+                  opts[1]._replace(probability=Prob(half, half)))
+              for t, opts in pp.images.items()}
+    rule = SubstitutionRule(pp.name, pp.engine, pp.lambda1, pp.lambda2,
+                            pp.skew, pp.types, images, pp.blocks)
+    assert validate_rule(rule) == []
+    with pytest.raises(RuleError, match=r"^B12 option 0: probability"
+                       r" 1/2 - 1/2\*p has no rule-file spelling"):
+        serialize_rule(rule)
+
+
 def test_serialize_writes_whole_probabilities_as_integers():
     rule = parse_rule("rule sure\nengine geometric\nexpansion 1 1\n"
                       "brick A 1 1\nimage A prob 1/1 { A @ 0 0 }\n"
@@ -160,6 +176,12 @@ BLOCK = "rule x\nengine block skew 0\nexpansion 2 2\nbrick 0 1 1\n"
     (GEO + QUAD + "end\nbrick B 1 1\n", "statement after 'end'"),
     ("rule x\nrule y\nengine geometric\nexpansion 2 2\nbrick A 1 1\n" + QUAD
      + "end\n", "duplicate 'rule' statement"),
+    # engine and expansion appear once each, as rule does
+    ("rule x\nengine block skew 0\nexpansion 3 3\nengine geometric\n"
+     "expansion 2 2\nbrick A 1 1\n" + QUAD + "end\n",
+     "line 4, col 1: duplicate 'engine' statement"),
+    (GEO + "expansion 2 2\n" + QUAD + "end\n",
+     "line 5, col 1: duplicate 'expansion' statement"),
     ("rule x\nengine geometric\nexpansion 0 2\nbrick A 1 1\n" + QUAD + "end\n",
      "non-positive expansion"),
     ("rule x\nengine geometric\nexpansion 2 2\nbrick A 1\nend\n",

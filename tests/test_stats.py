@@ -41,7 +41,7 @@ def test_splitmix64_seed_range(seed):
     with pytest.raises(ValueError):
         derive_seed(seed, 0)
     with pytest.raises(ValueError, match=r"outside \[0, 2\*\*64\)"):
-        generate.Pattern("a", 0, None, seed, [])  # its text could not be read
+        generate.Pattern("a", 0, seed, [])  # its text could not be read
 
 
 @pytest.mark.parametrize("seed", [True, False, 1.5, 3.0, "3"])
@@ -54,7 +54,7 @@ def test_rng_seed_must_be_an_int(seed):
                  lambda: next(generate.levels(rss, "B22", 2, rng_seed=seed)),
                  lambda: sample_vmax(pp, "B22", 2, Fraction(1, 2), trials=2,
                                      base_seed=seed),
-                 lambda: generate.Pattern("a", 0, None, seed, [])]:
+                 lambda: generate.Pattern("a", 0, seed, [])]:
         with pytest.raises(ValueError, match=message):
             call()
 
@@ -73,6 +73,16 @@ def test_take_is_k_single_draws(seed, k):
     assert list(outputs) == [single.next_u64() for _ in range(k)]
     assert after == single.next_u64()
     assert bulk.state == single.state
+
+
+@pytest.mark.parametrize("k", [-1, -2 ** 64, True, 1.0])
+def test_take_refuses_a_count_that_is_no_int_at_least_zero(k):
+    # a negative k would move the state back, so a draw would repeat
+    rng = SplitMix64(5)
+    first = rng.next_u64()
+    with pytest.raises(ValueError, match=f"^draw count {k!r} is not an int >= 0$"):
+        rng.take(k)
+    assert rng.next_u64() != first and list(rng.take(0)) == []
 
 
 def test_derive_seed():
