@@ -21,7 +21,8 @@ from fractions import Fraction
 
 from .builtins import BUILTIN_SOURCES, builtin
 from .rng import check_rng_seed
-from .rules import RuleError, RuleSyntaxError, RuleValidationError, parse_rule
+from .rules import (_FRACTION_RE, RuleError, RuleSyntaxError,
+                    RuleValidationError, parse_rule)
 
 
 def _load_rule(ref: str):
@@ -42,10 +43,13 @@ def _load_rule(ref: str):
 
 
 def _parse_p(p_arg: str) -> Fraction:
-    try:
-        p = Fraction(p_arg)
+    limit, _ = _digit_limit()
+    try:  # as a rule file spells a probability, and each term printable
+        p = Fraction(p_arg) if _FRACTION_RE.fullmatch(p_arg) else None
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"bad -p value '{p_arg}' (want num/den)") from None
+        p = None
+    if p is None or max(abs(p.numerator), p.denominator) >= 10 ** limit:
+        raise ValueError(f"bad -p value '{p_arg}' (want num/den)")
     if not 0 <= p <= 1:
         raise ValueError(f"-p {p} outside [0, 1]")
     return p

@@ -18,7 +18,7 @@ from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from .rng import _SLICE_ROWS, SplitMix64, check_rng_seed
-from .rules import Brick, RuleError, SubstitutionRule
+from .rules import _INT_RE, Brick, RuleError, SubstitutionRule
 from .spectral import max_bricks
 
 MAX_DEPTH = 12  # allocation guard on the depth of any wall
@@ -265,6 +265,17 @@ def _supertile_table(rule: SubstitutionRule):
     return _Memo(supertile)
 
 
+def _choices(table, rows, rng) -> list:
+    """Each parent's option in table, in the order of rows: one draw from
+    rng per parent whose type has thresholds, all taken at once."""
+    drawn = {t for t, (thresholds, _) in table.items() if thresholds}
+    draw = (rng.take(sum(map(drawn.__contains__, map(_TYPE, rows)))).__next__
+            if drawn else None)
+    return [options[bisect.bisect_right(thresholds, draw())] if thresholds
+            else options[0] for thresholds, options
+            in map(table.__getitem__, map(_TYPE, rows))]
+
+
 def _substitute_bricks(table, l1, l2, rows, rng) -> Tuple[tuple, ...]:
     """One step of table at scale (l1, l2): the children of rows in _ORDER,
     one draw per parent that has options, in the order of rows (pass a
@@ -273,14 +284,8 @@ def _substitute_bricks(table, l1, l2, rows, rng) -> Tuple[tuple, ...]:
     ascending runs, one per parent row that feeds it, so its sort is
     near-linear.  Two children on one (x, y) overlap, and no caller returns
     a wall that overlaps, so x orders a row as (x, type_id) would."""
-    drawn = {t for t, (thresholds, _) in table.items() if thresholds}
-    draw = (rng.take(sum(map(drawn.__contains__, map(_TYPE, rows)))).__next__
-            if drawn else None)  # the level's draws at once; rng None has none
     filed = defaultdict(list)
-    for t, x, y, _, _ in rows:
-        thresholds, options = table[t]
-        children = (options[bisect.bisect_right(thresholds, draw())]
-                    if thresholds else options[0])
+    for (_, x, y, _, _), children in zip(rows, _choices(table, rows, rng)):
         ax, ay = l1 * x, l2 * y
         for c, dx, dy, w, h in children:
             filed[ay + dy].append((c, ax + dx, ay + dy, w, h))
@@ -309,7 +314,7 @@ def _check_brick_types(rule, bricks):
 def _check_wall(rule, seed_type, n, rng_seed):
     """Refuse a wall's arguments before any draw: a depth that is no int,
     the seed type, the depth, an unbound p, a random rule's rng_seed, then
-    the brick budget.  Returns the seed the wall draws from (None if none)."""
+    the brick budget.  Returns the wall's seed and SplitMix64, or two Nones."""
     if type(n) is not int:
         raise ValueError(f"depth {n!r} is not an int")
     rule.get_type(seed_type)
@@ -328,16 +333,15 @@ def _check_wall(rule, seed_type, n, rng_seed):
         raise RuleError(f"rule '{rule.name}' from seed '{seed_type}' at n={n}"
                         f" can build {bound} bricks, over the budget of"
                         f" {MAX_BRICKS}")
-    return rng_seed if rule.is_random else None
+    return (rng_seed, SplitMix64(rng_seed)) if rule.is_random else (None, None)
 
 
-def _wall_rows(rule, seed_type, n, rng_seed):
+def _wall_rows(rule, seed_type, n, rng):
     """The rows of a geometric wall at levels 0..n: the seed brick at the
-    origin, then one substitution step per level, drawing from one
-    SplitMix64(rng_seed) unless rng_seed is None.  Every level is swept for
-    overlaps unless the rule's overlap certificate is "certified"."""
+    origin, then one substitution step per level, drawing from the stream
+    rng (None for no draws), which the last level leaves where it stopped.
+    Every level is swept unless the overlap certificate is "certified"."""
     seed = rule.get_type(seed_type)
-    rng = None if rng_seed is None else SplitMix64(rng_seed)
     rows = ((seed.id, 0, 0, seed.width, seed.height),)
     yield rows
     sweep = n > 0 and rule.overlap_certificate.verdict != "certified"
@@ -366,12 +370,12 @@ def levels(rule: SubstitutionRule, seed_type: str, n: int,
     """The wall of one seed at levels 0..n as a Pattern each, for either
     engine: n substitution steps in all, each level made from the one
     before.  The arguments are checked before the first level."""
-    rng_seed = _check_wall(rule, seed_type, n, rng_seed)
+    rng_seed, rng = _check_wall(rule, seed_type, n, rng_seed)
     if rule.engine == "block":
         for grid in _grids(rule, seed_type, n):
             yield render_grid(rule, grid)
         return
-    for level, rows in enumerate(_wall_rows(rule, seed_type, n, rng_seed)):
+    for level, rows in enumerate(_wall_rows(rule, seed_type, n, rng)):
         yield Pattern._of_rows(rule.name, level, rng_seed, rows)
 
 
@@ -383,10 +387,10 @@ def iterate(rule: SubstitutionRule, seed_type: str, n: int,
     is not "certified".  A deterministic certified rule makes its last
     _SUPERTILE_LEVELS steps as one, each brick becoming its type's supertile."""
     _require_geometric(rule)
-    rng_seed = _check_wall(rule, seed_type, n, rng_seed)
+    rng_seed, rng = _check_wall(rule, seed_type, n, rng_seed)
     k = (_SUPERTILE_LEVELS if rng_seed is None and n >= _SUPERTILE_LEVELS
          and rule.overlap_certificate.verdict == "certified" else 0)
-    for rows in _wall_rows(rule, seed_type, n - k, rng_seed):
+    for rows in _wall_rows(rule, seed_type, n - k, rng):
         pass
     if k:
         rows = _substitute_bricks(rule.supertile_table, rule.lambda1 ** k,
@@ -451,7 +455,7 @@ def generate_pattern(rule: SubstitutionRule, seed_type: str, n: int,
 # pattern text format: header line, then one `type_id x y width height` per
 # line, sorted by (y, x)
 
-_HEADER_RE = re.compile(r"#\s*rule=(\S+)\s+n=(\d+)\s+seed=(-|\d+)\s*$")
+_HEADER_RE = re.compile(r"#\s*rule=(\S+)\s+n=([0-9]+)\s+seed=(-|[0-9]+)\s*$")
 
 
 def _text_slices(pattern: Pattern) -> Iterator[str]:
@@ -486,6 +490,9 @@ def parse_pattern(text: str) -> Pattern:
         rng_seed = None if seed == "-" else check_rng_seed(int(seed))
     except ValueError as refusal:
         raise ValueError(f"bad pattern header on line {number}: {refusal}") from None
+    # int() also reads '1_0', '+1' and other scripts' digits, which only a
+    # text with '_', '+' or a non-ASCII character can hold
+    plain = text.isascii() and "_" not in text and "+" not in text
     rows = []  # each row is checked here, so Pattern(...) need not again
     for number, line in lines:
         parts = line.split()
@@ -494,7 +501,8 @@ def parse_pattern(text: str) -> Pattern:
         try:
             t, x, y, w, h = parts
             row = t, int(x), int(y), int(w), int(h)
-            if row[3] < 1 or row[4] < 1:
+            if (row[3] < 1 or row[4] < 1
+                    or not (plain or all(map(_INT_RE.fullmatch, parts[1:])))):
                 raise ValueError
         except ValueError:
             raise ValueError(f"bad pattern line {number}: {line!r} is not"

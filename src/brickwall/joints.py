@@ -8,11 +8,12 @@ edge intervals merge: mortar interrupted by nothing is continuous mortar.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from itertools import repeat
 from operator import sub
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
-from .generate import _ORDER, Pattern, generate_pattern, levels
+from .generate import _ORDER, Pattern, _choices, generate_pattern, levels
 from .rules import SubstitutionRule
 
 
@@ -89,6 +90,43 @@ def _v_max(rows) -> int:
     outline = min(runs), max(runs)
     return max((max(map(sub, run[1::2], run[::2]))
                 for x, run in runs.items() if x not in outline), default=0)
+
+
+def _run_table(rule):
+    """rule.substitution_table, each image as its edge runs (ex, y0, y1)."""
+    return {t: (thresholds, tuple(tuple(
+        (ex, y0, y1) for ex, run in _edge_segments(_image_bricks(opt)).items()
+        for y0, y1 in zip(run[::2], run[1::2])) for opt in rule.images[t]))
+        for t, (thresholds, _) in rule.substitution_table.items()}
+
+
+def _next_v_max(table, l1, l2, rows, rng) -> int:
+    """_v_max of the wall one step of a _run_table makes from rows, drawn as
+    _substitute_bricks draws it, from each parent's image runs, shifted.  An
+    image may reach past l2 rows, so an abscissa's starts and ends are sorted:
+    its runs break after the i-th end where the (i+1)-th start lies above."""
+    cols = defaultdict(lambda: ([], []))
+    for (_, x, y, _, _), runs in zip(rows, _choices(table, rows, rng)):
+        ax, ay = l1 * x, l2 * y
+        for ex, y0, y1 in runs:
+            starts, ends = cols[ax + ex]
+            starts.append(ay + y0)
+            ends.append(ay + y1)
+    del cols[min(cols)], cols[max(cols)]  # the outline
+    v_max = 0
+    for starts, ends in cols.values():
+        starts.sort()
+        ends.sort()
+        starts = iter(starts)
+        lo = next(starts)
+        for start, end in zip(starts, ends):
+            if start > end:
+                if end - lo > v_max:
+                    v_max = end - lo
+                lo = start
+        if ends[-1] - lo > v_max:
+            v_max = ends[-1] - lo
+    return v_max
 
 
 def _image_bricks(opt):

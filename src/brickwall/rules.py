@@ -279,6 +279,9 @@ def validate_rule(rule: SubstitutionRule) -> List[str]:
 
 _TOKEN_RE = re.compile(r"[{};@]|[^\s{};@]+")
 _COLOR_RE = re.compile(r"#[0-9a-fA-F]{6}")
+# numbers as written here; int() and Fraction() also read '1_0', '+1', '1e3'
+_INT_RE = re.compile(r"-?[0-9]+")
+_FRACTION_RE = re.compile(r"-?[0-9]+(/[0-9]+|\.[0-9]+)?")  # no exponent
 
 
 def _strip_comment(line: str) -> str:
@@ -323,9 +326,11 @@ class _Line:
     def take_int(self, what="integer"):
         tok = self.take(what)
         try:
-            return int(tok)
+            if _INT_RE.fullmatch(tok):
+                return int(tok)  # ValueError past the int-to-str digit limit
         except ValueError:
-            self.error(f"expected {what}, got '{tok}'")
+            pass
+        self.error(f"expected {what}, got '{tok}'")
 
     def expect(self, literal):
         tok = self.take(f"'{literal}'")
@@ -345,9 +350,11 @@ def _parse_prob(ln: _Line) -> Prob:
     if tok == "1-p":
         return Prob(_ONE, Fraction(-1))
     try:
-        return Prob(Fraction(tok))
+        if _FRACTION_RE.fullmatch(tok):
+            return Prob(Fraction(tok))
     except (ValueError, ZeroDivisionError):
-        ln.error(f"bad probability '{tok}' (want num/den, p, or 1-p)")
+        pass
+    ln.error(f"bad probability '{tok}' (want num/den, p, or 1-p)")
 
 
 def parse_rule(text: str) -> SubstitutionRule:

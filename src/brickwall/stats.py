@@ -3,9 +3,10 @@
 Trial k is the wall iterate(rule.bind(p), seed, n, rng_seed=derive_seed(
 base_seed, k)) builds, so runs are reproducible and trials could be farmed
 out in parallel without sharing a stream.  The arguments and the brick
-budget are checked once, before any draw; a trial makes its n substitution
-steps, swept as iterate sweeps, and reads v_max from the wall's edge runs.
-Results are recorded in trial order.
+budget are checked once, before any draw.  A certified rule's trial builds
+levels 0..n-1 and reads v_max off the image edge runs of its last step's
+draws; any other trial builds and sweeps level n as iterate does.  Results
+are recorded in trial order.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from fractions import Fraction
 from typing import Dict, NamedTuple, Tuple
 
 from .generate import _check_wall, _wall_rows
-from .joints import _v_max
-from .rng import derive_seed
+from .joints import _next_v_max, _run_table, _v_max
+from .rng import SplitMix64, derive_seed
 from .rules import RuleError, SubstitutionRule
 
 
@@ -75,9 +76,14 @@ def sample_vmax(rule: SubstitutionRule, seed_type: str, n: int, p,
     bound = rule.bind(p)
     # base_seed is in range iff every base_seed ^ k is
     _check_wall(bound, seed_type, n, base_seed)
+    # a certified rule's last step needs no sweep, so it is read, not built
+    last = n > 0 and bound.overlap_certificate.verdict == "certified"
+    table = _run_table(bound) if last else None
     samples = []
     for k in range(trials):
-        for rows in _wall_rows(bound, seed_type, n, derive_seed(base_seed, k)):
-            pass
-        samples.append(_v_max(rows))
+        rng = SplitMix64(derive_seed(base_seed, k))
+        for rows in _wall_rows(bound, seed_type, n - last, rng):
+            pass  # each level is dropped once the next is made
+        samples.append(_next_v_max(table, bound.lambda1, bound.lambda2, rows,
+                                   rng) if last else _v_max(rows))
     return VmaxStats(p, n, trials, base_seed, tuple(samples))

@@ -5,18 +5,23 @@ on drawn rules at -n <= 3.  It checks the exit-code contract only: a
 code in {0, 1, 2}, one `error:` line on stderr for a failure, no
 escaping exception and no long run.  Whether an answer is right is left
 to the other tests; the second property checks the drawn block rules'
-growth and rendering against index arithmetic, and the third pins the
-overlap certificate of drawn geometric rules to the nested-loop closure.
+growth and rendering against index arithmetic, the third pins the
+overlap certificate of drawn geometric rules to the nested-loop closure,
+and the fourth pins each sample of a drawn parametric rule to the v_max of
+the wall iterate builds for that trial.
 """
 
 import contextlib
 import io
 import time
+from fractions import Fraction
 
-from hypothesis import example, given, reject, settings, strategies as st
+from hypothesis import (HealthCheck, example, given, reject, settings,
+                        strategies as st)
 
-from brickwall import (BUILTIN_SOURCES, RuleError, iterate_block, parse_rule,
-                       render_grid)
+from brickwall import (BUILTIN_SOURCES, RuleError, derive_seed, iterate,
+                       iterate_block, parse_rule, render_grid, sample_vmax,
+                       vertical_joints)
 from brickwall.cli import main
 from brickwall.generate import overlap_certificate
 from oracles import block_letter, nested_loop_certificate
@@ -207,3 +212,43 @@ def test_certificate_equals_the_nested_loop_closure(text):
     cert = overlap_certificate(rule)
     assert cert.verdict in ("certified", "overlap")  # no unit expansion
     assert cert == nested_loop_certificate(rule)  # every field, message too
+
+
+# A @ 1 3 lies past the two rows of A's image, so a level's edge runs come
+# out of y order: the sampler gets another v_max unless it sorts them
+REACH = _rule("reach", "2 2", ["brick A 1 1"], [
+    (f"A prob {prob}", "A @ 1 3 ; A @ 0 0 ; A @ 1 0 ; A @ 0 1")
+    for prob in ("p", "1-p")])
+# a running bond: its outline, a rectangle's sides, is longer than any
+# joint; A has one image, so its bricks take no draw between B's
+BOND = _rule("bond", "2 2", ["brick A 1 1", "brick B 2 1"], [
+    ("A", "B @ 0 0 ; B @ 0 1"),
+    ("B prob p", "B @ 0 0 ; B @ 2 0 ; A @ 0 1 ; B @ 1 1 ; A @ 3 1"),
+    ("B prob 1-p", "A @ 0 0 ; B @ 1 0 ; A @ 3 0 ; B @ 0 1 ; B @ 2 1")])
+
+
+@given(geometric_rules(st.integers(2, 3), st.just(("p", "1-p"))),
+       st.sampled_from([0, 2 ** 64 - 1]) | st.integers(0, 2 ** 64 - 1))
+@example((BUILTIN_SOURCES["random_pp"], "B22"), 7)
+@example((BUILTIN_SOURCES["random_pp"], "B12"), 2 ** 64 - 1)
+@example((REACH, "A"), 0)
+@example((BOND, "A"), 0)
+@settings(max_examples=8, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])  # few are certified
+def test_samples_are_the_v_max_of_the_trial_walls(rule, base_seed):
+    # a certified rule's sampler reads the last level off its parents and
+    # their images' edge runs; drawn offsets reach out of an image's rows,
+    # so those runs come out of y order
+    text, seed = rule
+    try:
+        rule = parse_rule(text)
+    except RuleError:
+        reject()
+    if not rule.is_parametric or rule.overlap_certificate.verdict != "certified":
+        reject()
+    for n in range(5):
+        for p in (0, Fraction(1, 3), Fraction(1, 2), 1):
+            stats = sample_vmax(rule, seed, n, p, trials=2, base_seed=base_seed)
+            assert stats.samples == tuple(vertical_joints(iterate(
+                rule.bind(p), seed, n, rng_seed=derive_seed(base_seed, k))).v_max
+                for k in range(2)), (n, p)

@@ -583,11 +583,22 @@ def test_parse_pattern_errors():
         parse_pattern("# rule=x n=1 seed=abc\nB11 0 0 1 1\n")
     # a wrong field count, a float, zero and negative sizes, a bool: each
     # names its 1-based line, blank lines counted
+    # and a number int() reads but format_pattern never writes: a digit
+    # separator, a plus sign or another script's digits, in text whose type
+    # ids are plain ASCII or not
     for line in ["B11 0 0 1", "B11 0 0 1 1 1", "B11 0.5 0 1 1",
-                 "B11 0 0 -1 1", "B11 5 0 0 0", "B11 0 0 1 0", "B11 True 0 1 1"]:
-        with pytest.raises(ValueError, match=f"^bad pattern line 4: '{line}' is"
-                                             " not 'type_id x y width height'"):
+                 "B11 0 0 -1 1", "B11 5 0 0 0", "B11 0 0 1 0", "B11 True 0 1 1",
+                 "B11 1_0 0 1 1", "B11 0 +1 1 1", "B11 0 0 \u0661 1",
+                 "B_1 1_0 0 1 1", "\u00e9 0 0 1 1_0"]:
+        with pytest.raises(ValueError, match=f"^bad pattern line 4:"
+                           f" '{re.escape(line)}' is not 'type_id x y"):
             parse_pattern(f"# rule=x n=1 seed=-\nB11 9 9 1 1\n\n{line}\n")
+    assert parse_pattern("# rule=x n=1 seed=-\nB_1 -10 0 1 1\n\u00e9 0 0 1 1"
+                         ).rows == (("B_1", -10, 0, 1, 1), ("\u00e9", 0, 0, 1, 1))
+    for header in ["# rule=a n=\u0663 seed=0", "# rule=a n=3 seed=0\u0661",
+                   "# rule=a n=1_0 seed=0", "# rule=a n=3 seed=+1"]:
+        with pytest.raises(ValueError, match="^bad pattern header on line 1: "):
+            parse_pattern(header + "\nB11 0 0 1 1\n")
 
 
 def test_pattern_refuses_rows_that_are_not_bricks():

@@ -651,11 +651,26 @@ def test_cli_analyze_invalid_rule_file(tmp_path):
     (("sample", "--rule", "random_pp", "--seed-brick", "B22", "-n", "-1",
       "-p", "1/2"), "depth must be >= 0, got -1"),
     (("validate",), "the following arguments are required: --rule"),
+    # -p is an ASCII integer, num/den or a decimal with no exponent, each
+    # term within the int-to-str limit, refused before Fraction() reads it:
+    # 1e-30000000 would have it build a 30-million-digit denominator
+    *((("sample", "--rule", "random_pp", "--seed-brick", "B22", "-n", "1",
+        "-p", p, "--trials", "1"), f"error: bad -p value '{p}' (want num/den)\n")
+      for p in ["1e-5000", "1e400", "1e-30000000", "1_0/20", "\u0663/4",
+                "1/2e0", " 1/2", "1/0",
+                "1/" + "3" * (sys.get_int_max_str_digits() + 1),
+                "0." + "1" * sys.get_int_max_str_digits()]),
+    (("spectrum", "--rule", "random_pp", "-p", "1_0/20"),
+     "error: bad -p value '1_0/20' (want num/den)\n"),
 ])
 def test_cli_usage_errors_exit_2(argv, fragment):
+    start = time.perf_counter()
     code, stdout, stderr = run(*argv)
+    assert time.perf_counter() - start < 5  # refused, not computed
     assert code == 2
     assert fragment in stderr
+    if fragment.startswith("error: bad -p"):  # one line
+        assert (stdout, stderr) == ("", fragment)
 
 
 def test_cli_failed_generate_writes_nothing(tmp_path):

@@ -191,6 +191,18 @@ BLOCK = "rule x\nengine block skew 0\nexpansion 2 2\nbrick 0 1 1\n"
     ("rule x y\nengine geometric\nexpansion 2 2\nbrick A 1 1\n" + QUAD + "end\n",
      "trailing token 'y'"),
     (GEO + "image A prob half { A @ 0 0 }\nend\n", "bad probability 'half'"),
+    # numbers are ASCII digits, as serialize_rule writes them: int() and
+    # Fraction() would read each of these
+    ("rule x\nengine geometric\nexpansion \u0662 1\n", "line 3, col 11:"
+     " expected lambda1, got '\u0662'"),
+    (GEO + "image A { A @ 1_0 0 }\nend\n", "line 5, col 15: expected dx,"
+     " got '1_0'"),
+    (GEO + "image A { A @ 0 +1 }\nend\n", "expected dy, got '+1'"),
+    (GEO + "image A prob \u0661/2 { A @ 0 0 }\nend\n",
+     "bad probability '\u0661/2'"),
+    (GEO + "image A prob 1_0/20 { A @ 0 0 }\nend\n", "bad probability '1_0/20'"),
+    (GEO + "image A prob 5e-1 { A @ 0 0 }\nend\n", "bad probability '5e-1'"),
+    (GEO + f"image A {{ A @ {'1' * 5000} 0 }}\nend\n", "expected dx, got '111"),
     (GEO + QUAD + "wall A\nend\n", "unknown statement 'wall'"),
     (BLOCK + "block 0 { row: 0 0 ; row: 0 0 }\nblock 0 { row: 0 0 }\nend\n",
      "duplicate block image for '0'"),
