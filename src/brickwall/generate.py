@@ -490,9 +490,6 @@ def parse_pattern(text: str) -> Pattern:
         rng_seed = None if seed == "-" else check_rng_seed(int(seed))
     except ValueError as refusal:
         raise ValueError(f"bad pattern header on line {number}: {refusal}") from None
-    # int() also reads '1_0', '+1' and other scripts' digits, which only a
-    # text with '_', '+' or a non-ASCII character can hold
-    plain = text.isascii() and "_" not in text and "+" not in text
     rows = []  # each row is checked here, so Pattern(...) need not again
     for number, line in lines:
         parts = line.split()
@@ -501,8 +498,8 @@ def parse_pattern(text: str) -> Pattern:
         try:
             t, x, y, w, h = parts
             row = t, int(x), int(y), int(w), int(h)
-            if (row[3] < 1 or row[4] < 1
-                    or not (plain or all(map(_INT_RE.fullmatch, parts[1:])))):
+            if (row[3] < 1 or row[4] < 1  # int() also reads '1_0' and '+1'
+                    or not all(map(_INT_RE.fullmatch, parts[1:]))):
                 raise ValueError
         except ValueError:
             raise ValueError(f"bad pattern line {number}: {line!r} is not"

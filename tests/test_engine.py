@@ -591,7 +591,8 @@ def test_parse_pattern_errors():
                  "B11 1_0 0 1 1", "B11 0 +1 1 1", "B11 0 0 \u0661 1",
                  "B_1 1_0 0 1 1", "\u00e9 0 0 1 1_0"]:
         with pytest.raises(ValueError, match=f"^bad pattern line 4:"
-                           f" '{re.escape(line)}' is not 'type_id x y"):
+                           f" '{re.escape(line)}' is not"
+                           " 'type_id x y width height'"):
             parse_pattern(f"# rule=x n=1 seed=-\nB11 9 9 1 1\n\n{line}\n")
     assert parse_pattern("# rule=x n=1 seed=-\nB_1 -10 0 1 1\n\u00e9 0 0 1 1"
                          ).rows == (("B_1", -10, 0, 1, 1), ("\u00e9", 0, 0, 1, 1))
